@@ -72,9 +72,9 @@ func runBatch(ctx context.Context, b *bench) error {
 	}
 	ops := len(traced.days)
 	sp := traced.sp
-	total := ms(sumDurations(durations(traced.days)))
-	gap := total - ms(sp["pcap.decode"]) - stageTotal(sp) - ms(sp["v1.encode"])
-	gapPct := 100 * gap / total
+	dayTime := ms(total(traced.days))
+	gap := dayTime - ms(sp["pcap.decode"]) - stageTotal(sp) - ms(sp["v1.encode"])
+	gapPct := 100 * gap / dayTime
 	if gapPct > ledgerTolerancePct || gapPct < -ledgerTolerancePct {
 		b.problem("ledger: decode + stage spans + encode leave %.2f%% of the day time unattributed (tolerance %d%%)", gapPct, ledgerTolerancePct)
 	}
@@ -212,10 +212,3 @@ func replayDay(ctx context.Context, b *bench, d *dayInput, sp spans, cnt counts)
 
 // quietDays is the phase's day latencies outside steal bursts.
 func (ph *batchPhase) quietDays() samples { return durations(ph.steal.quiet(ph.days, 1)) }
-
-func sumDurations(s samples) (total time.Duration) {
-	for _, d := range s {
-		total += d
-	}
-	return total
-}

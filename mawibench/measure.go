@@ -42,18 +42,6 @@ func quantile(v []float64, q float64) float64 {
 	return v[lo] + (v[hi]-v[lo])*(pos-float64(lo))
 }
 
-// meanMs returns the mean in milliseconds (0 for an empty list).
-func (s samples) meanMs() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range s {
-		sum += d
-	}
-	return ms(sum) / float64(len(s))
-}
-
 // spans accumulates busy time per layer over the ops of a traced phase.
 type spans map[string]time.Duration
 
@@ -231,9 +219,6 @@ func machineStamp() stamp {
 	}
 	return s
 }
-
-// secondsDuration converts float seconds to a duration.
-func secondsDuration(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // overheadPct is how much slower the traced median is than the untraced one.
 func overheadPct(untraced, traced samples) float64 {
@@ -417,18 +402,24 @@ func durations(sp []span) samples {
 	return out
 }
 
+// total returns the spans' summed length.
+func total(sp []span) (t time.Duration) {
+	for _, s := range sp {
+		t += s.to.Sub(s.from)
+	}
+	return t
+}
+
 // rate returns units per second of span time.
 func rate(sp []span) float64 {
 	var n int
-	var t time.Duration
 	for _, s := range sp {
 		n += s.n
-		t += s.to.Sub(s.from)
 	}
-	if t <= 0 {
-		return 0
+	if t := total(sp); t > 0 {
+		return float64(n) / t.Seconds()
 	}
-	return float64(n) / t.Seconds()
+	return 0
 }
 
 // noteSteal reports the window's steal share and how many of its samples

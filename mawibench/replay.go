@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"mawilab"
 	"mawilab/internal/core"
@@ -140,11 +141,7 @@ func putLayerSpans(b *bench, sp spans, cnt counts, ops int) {
 	b.put("simgraph.edges", "", cnt["simgraph.edges"]/n, ops)
 	b.put("graphx.communities", "", cnt["graphx.communities"]/n, ops)
 	b.put("apriori.rules", "", cnt["apriori.rules"]/n, ops)
-	ratio := 0.0
-	if cnt["detectors.alarms"] > 0 {
-		ratio = cnt["core.extracted"] / cnt["detectors.alarms"]
-	}
-	b.put("core.reextract_ratio", "", ratio, ops)
+	b.put("core.reextract_ratio", "", ratio(cnt["core.extracted"], cnt["detectors.alarms"]), ops)
 }
 
 // putStageSpans reports the Observe hook's stage spans per op.
@@ -158,14 +155,14 @@ func putStageSpans(b *bench, sp spans, ops int) {
 // one run the pipeline calls it sequentially.
 func observeInto(sp spans) func(mawilab.Stage, float64) {
 	return func(st mawilab.Stage, seconds float64) {
-		sp["stage."+string(st)] += secondsDuration(seconds)
+		sp["stage."+string(st)] += time.Duration(seconds * float64(time.Second))
 	}
 }
 
 // stageTotal sums the Observe spans.
-func stageTotal(sp spans) (total float64) {
+func stageTotal(sp spans) (sum float64) {
 	for _, st := range []mawilab.Stage{mawilab.StageIngest, mawilab.StageDetect, mawilab.StageEstimate, mawilab.StageLabel} {
-		total += ms(sp["stage."+string(st)])
+		sum += ms(sp["stage."+string(st)])
 	}
-	return total
+	return sum
 }

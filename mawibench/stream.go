@@ -151,7 +151,7 @@ func runStream(ctx context.Context, b *bench) error {
 	// Segment sealing runs inside RunStream's ingest loop, outside every
 	// Observe span, so the ledger adds the replay's seal time per pass.
 	sealPerPass := ms(lsp["trace.seal"])
-	elapsed := ms(sumDurations(durations(traced.passes)))
+	elapsed := ms(total(traced.passes))
 	gap := elapsed - stageTotal(traced.sp) - sealPerPass*float64(len(traced.passes))
 	gapPct := 100 * gap / elapsed
 	if gapPct > ledgerTolerancePct || gapPct < -ledgerTolerancePct {
@@ -160,7 +160,7 @@ func runStream(ctx context.Context, b *bench) error {
 	putStageSpans(b, traced.sp, ops)
 	b.put("stage.unattributed_ms", "", gap/float64(max(ops, 1)), ops)
 	b.put("ledger.gap_pct", "", gapPct, ops)
-	b.put("v1.encode_ms", "", durations(traced.enc).meanMs(), ops)
+	b.put("v1.encode_ms", "", ms(total(traced.enc))/float64(max(ops, 1)), ops)
 	b.put("go.alloc_mb_per_op", "", float64(traced.mem.allocBytes)/(1<<20)/float64(max(ops, 1)), ops)
 	b.put("go.gc_cycles", "", float64(traced.mem.gcCycles)/float64(max(ops, 1)), ops)
 	b.put("bench.trace_overhead_pct", "", overheadPct(untraced.quietEmit(), traced.quietEmit()), ops)

@@ -16,7 +16,6 @@ type batchPhase struct {
 	days, enc []span // per day: pcap bytes → encoded labels (n = packets); the encode part
 	flows     int
 	rssMB     float64
-	steal     *stealMeter
 	sp        spans // traced: pcap.decode, v1.encode and the Observe stages
 	mem       memDelta
 }
@@ -40,25 +39,26 @@ func runBatch(ctx context.Context, b *bench) error {
 		if b.cfg.pins == nil {
 			continue
 		}
+		b.attempted++
 		if want, ok := b.cfg.pins[d.name]; !ok || want != got {
-			b.problem("pinned CSV digest of %s: got %s, pinned %q", d.name, got, want)
+			b.opFailed("DIVERGENCE %s: pinned CSV digest: got %s, pinned %q", d.name, got, want)
 		}
 	}
 
 	if !b.cfg.trace {
-		ph, err := batchRun(ctx, b, days, b.cfg.seconds, sc.minSamples, false)
+		ph, err := measureWindow(b, nil, func() (*batchPhase, error) {
+			return batchRun(ctx, b, days, b.cfg.seconds, sc.minSamples, false)
+		})
 		if err != nil {
 			return err
 		}
-		days := ph.steal.quiet(ph.days, sc.minSamples)
-		lat, enc := durations(days), durations(ph.steal.quiet(ph.enc, sc.minSamples))
+		lat, enc := durations(ph.days), durations(ph.enc)
 		b.put("label_ms_p50", "day_label_ms_p50", lat.quantile(0.5), len(lat))
 		b.put("label_ms_p90", "day_label_ms_p90", lat.quantile(0.9), len(lat))
-		b.put("pkts_per_s", "batch_pkts_per_s", rate(days), len(days))
+		b.put("pkts_per_s", "batch_pkts_per_s", rate(ph.days), len(ph.days))
 		b.put("read_ms_p50", "v1_encode_ms_p50", enc.quantile(0.5), len(enc))
 		b.put("read_ms_p90", "v1_encode_ms_p90", enc.quantile(0.9), len(enc))
 		b.put("peak_rss_mb", "", ph.rssMB, 0)
-		noteSteal(b, ph.steal, len(ph.days))
 		return nil
 	}
 
@@ -87,7 +87,7 @@ func runBatch(ctx context.Context, b *bench) error {
 	b.put("trace.reindex_ratio", "", 1, ops) // DecodePcap indexes each packet once
 	b.put("go.alloc_mb_per_op", "", float64(traced.mem.allocBytes)/(1<<20)/float64(max(ops, 1)), ops)
 	b.put("go.gc_cycles", "", float64(traced.mem.gcCycles)/float64(max(ops, 1)), ops)
-	b.put("bench.trace_overhead_pct", "", overheadPct(untraced.quietDays(), traced.quietDays()), ops)
+	b.put("bench.trace_overhead_pct", "", overheadPct(durations(untraced.days), durations(traced.days)), ops)
 
 	lsp, cnt := spans{}, counts{}
 	replayed := min(sc.replayOps, len(days))
@@ -102,8 +102,7 @@ func runBatch(ctx context.Context, b *bench) error {
 
 // batchRun runs the closed loop for seconds (and at least minOps days).
 func batchRun(ctx context.Context, b *bench, days []*dayInput, seconds float64, minOps int, traced bool) (*batchPhase, error) {
-	ph := &batchPhase{sp: spans{}, steal: startSteal()}
-	defer ph.steal.finish()
+	ph := &batchPhase{sp: spans{}}
 	p := mawilab.NewPipeline()
 	p.Workers = b.cfg.scale.workers
 	if traced {
@@ -184,8 +183,9 @@ func labelDay(ctx context.Context, b *bench, p *mawilab.Pipeline, d *dayInput, p
 }
 
 // replayDay replays one day layer by layer and checks its CSV against the
-// reference.
+// reference; the replay counts as one op.
 func replayDay(ctx context.Context, b *bench, d *dayInput, sp spans, cnt counts) error {
+	b.attempted++
 	ix, err := mawilab.DecodePcap(bytes.NewReader(d.pcap))
 	if err != nil {
 		return fmt.Errorf("replay %s: %w", d.name, err)
@@ -205,10 +205,7 @@ func replayDay(ctx context.Context, b *bench, d *dayInput, sp spans, cnt counts)
 		return err
 	}
 	if !bytes.Equal(csv.Bytes(), d.csv) {
-		b.problem("DIVERGENCE %s: the traced replay's labels differ from the untraced run's", d.name)
+		b.opFailed("DIVERGENCE %s: the traced replay's labels differ from the untraced run's", d.name)
 	}
 	return nil
 }
-
-// quietDays is the phase's day latencies outside steal bursts.
-func (ph *batchPhase) quietDays() samples { return durations(ph.steal.quiet(ph.days, 1)) }

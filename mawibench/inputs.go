@@ -50,7 +50,7 @@ var fullScale = scale{
 	windowSegments: 4,
 	daemonDuration: 30,
 	daemonWarm:     12,
-	daemonRate:     16,
+	daemonRate:     24,
 	minSamples:     100,
 	setupRepeats:   3,
 	replayOps:      8,

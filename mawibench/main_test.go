@@ -177,7 +177,7 @@ func TestWorkloadsEmitEveryMetric(t *testing.T) {
 }
 
 // TestTamperedPinFails: a pinned CSV digest that does not match fails the
-// run.
+// run and counts as a failed op.
 func TestTamperedPinFails(t *testing.T) {
 	cfg := tinyConfig(t, wBatch, false)
 	cfg.pins = map[string]string{}
@@ -188,8 +188,8 @@ func TestTamperedPinFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := b.outcome(); o.Correct {
-		t.Fatal("a tampered pinned digest passed")
+	if o := b.outcome(); o.Correct || o.Failed != len(cfg.pins) {
+		t.Fatalf("a tampered pinned digest passed: correct=%t failed=%d of %d pins", o.Correct, o.Failed, len(cfg.pins))
 	}
 	if !strings.Contains(strings.Join(b.problems, "\n"), "pinned CSV digest") {
 		t.Fatalf("problems do not name the pin: %v", b.problems)

@@ -237,25 +237,27 @@ func phaseDone(start time.Time, seconds float64, n, minOps int) bool {
 	return (el >= seconds && n >= minOps) || el >= 3*seconds
 }
 
-// quietSteal is the largest share of the machine's CPU time the hypervisor
-// may have given to other guests (steal) while a sample ran for the sample
-// to count: none. On a shared 2-CPU host, runs with 20% steal read
-// latencies half again as long; samples taken during steal bursts measure
-// the neighbours, not the program.
-const quietSteal = 0
+// maxStealPct is the most of the CPU time the machine wanted, in percent,
+// that the hypervisor may give to other guests (steal) over a measured
+// window for the window to stand. On a shared 2-CPU host a window with 20%
+// steal reads latencies half again as long: it measures the neighbours,
+// not the program.
+const maxStealPct = 10
 
-// stealTick is how often the steal meter reads the CPU counters.
-const stealTick = 250 * time.Millisecond
+// windowAttempts is how many times a run measures its window when the
+// host steals more than maxStealPct: once more at most, so a run stays
+// within its time budget.
+const windowAttempts = 2
 
-// cpuMark is the machine's CPU counters (in clock ticks) at one moment.
+// cpuMark is the machine's CPU counters (in clock ticks) at one moment:
+// the time its CPUs ran or wanted to run, steal included, and the steal.
 type cpuMark struct {
-	at           time.Time
-	total, steal uint64
+	busy, steal uint64
 }
 
 // readCPU reads the aggregate line of /proc/stat.
 func readCPU() (cpuMark, error) {
-	m := cpuMark{at: time.Now()}
+	var m cpuMark
 	f, err := os.Open("/proc/stat")
 	if err != nil {
 		return m, err
@@ -266,131 +268,83 @@ func readCPU() (cpuMark, error) {
 		return m, err
 	}
 	fields := strings.Fields(line)
-	if len(fields) < 5 || fields[0] != "cpu" {
+	if len(fields) < 9 || fields[0] != "cpu" {
 		return m, fmt.Errorf("unexpected /proc/stat line %q", line)
 	}
-	for i, f := range fields[1:] {
+	// user nice system idle iowait irq softirq steal; guest time is
+	// already counted in user and nice.
+	for i, f := range fields[1:9] {
 		v, err := strconv.ParseUint(f, 10, 64)
 		if err != nil {
 			return m, fmt.Errorf("/proc/stat: %w", err)
 		}
-		m.total += v
-		if i == 7 { // user nice system idle iowait irq softirq steal
+		switch i {
+		case 3, 4: // idle, iowait
+		case 7:
 			m.steal = v
+			m.busy += v
+		default:
+			m.busy += v
 		}
 	}
 	return m, nil
 }
 
-// stealMeter samples the CPU counters through a measured window, so each
-// sample's steal share can be looked up afterwards.
-type stealMeter struct {
-	mu    sync.Mutex
-	marks []cpuMark
-	stop  chan struct{}
-	done  chan struct{}
+// stealPct is the steal share of the busy CPU time between two marks, in
+// percent: how much of the time the machine wanted to run, other guests
+// ran instead. A mostly idle window feels steal only while it runs, so the
+// share of all CPU time would understate it. Without counters it reads 0,
+// and the window stands.
+func stealPct(a, b cpuMark, errA, errB error) float64 {
+	if errA != nil || errB != nil || b.busy <= a.busy {
+		return 0
+	}
+	return 100 * float64(b.steal-a.steal) / float64(b.busy-a.busy)
 }
 
-func startSteal() *stealMeter {
-	m := &stealMeter{stop: make(chan struct{}), done: make(chan struct{})}
-	m.mark()
-	go func() {
-		defer close(m.done)
-		t := time.NewTicker(stealTick)
-		defer t.Stop()
-		for {
-			select {
-			case <-m.stop:
-				m.mark()
-				return
-			case <-t.C:
-				m.mark()
+// measureWindow runs a workload's measured window and reads the CPU
+// counters around it. When the host stole more than maxStealPct of the CPU
+// over the window, reset (if any) restores the state the window starts
+// from and the window runs once more; the attempt with less steal is kept
+// whole, every sample of it. The kept window's steal and the attempt count
+// are reported beside the metrics.
+func measureWindow[T any](b *bench, reset func() error, window func() (T, error)) (T, error) {
+	var (
+		best      T
+		bestSteal = math.Inf(1)
+		attempts  int
+	)
+	for attempts < windowAttempts {
+		if attempts > 0 && reset != nil {
+			if err := reset(); err != nil {
+				return best, err
 			}
 		}
-	}()
-	return m
-}
-
-func (m *stealMeter) mark() {
-	c, err := readCPU()
-	if err != nil {
-		return // no counters: every sample reads as unstolen
+		attempts++
+		a, errA := readCPU()
+		v, err := window()
+		z, errZ := readCPU()
+		if err != nil {
+			return best, err
+		}
+		steal := stealPct(a, z, errA, errZ)
+		if steal < bestSteal {
+			best, bestSteal = v, steal
+		}
+		if steal <= maxStealPct {
+			break
+		}
+		fmt.Fprintf(os.Stderr, "mawibench: the host stole %.1f%% of the CPU during window %d (limit %d%%)\n", steal, attempts, maxStealPct)
 	}
-	m.mu.Lock()
-	m.marks = append(m.marks, c)
-	m.mu.Unlock()
-}
-
-// finish stops the meter.
-func (m *stealMeter) finish() {
-	close(m.stop)
-	<-m.done
-}
-
-// share returns the steal share of CPU time over the marks enclosing
-// [from, to].
-func (m *stealMeter) share(from, to time.Time) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.marks) < 2 {
-		return 0
-	}
-	i := sort.Search(len(m.marks), func(i int) bool { return m.marks[i].at.After(from) }) - 1
-	j := sort.Search(len(m.marks), func(i int) bool { return !m.marks[i].at.Before(to) })
-	i = max(i, 0)
-	j = min(j, len(m.marks)-1)
-	if j <= i {
-		i, j = max(j-1, 0), max(j, 1)
-	}
-	a, b := m.marks[i], m.marks[j]
-	if b.total <= a.total {
-		return 0
-	}
-	return float64(b.steal-a.steal) / float64(b.total-a.total)
+	b.noteValue("cpu_steal_pct", bestSteal, "%", 0)
+	b.noteValue("windows_measured", float64(attempts), "count", 0)
+	return best, nil
 }
 
 // span is one timed piece of work: from start to end, n units (packets).
 type span struct {
 	from, to time.Time
 	n        int
-}
-
-// quiet keeps the spans during which at most quietSteal of the CPU was
-// stolen. When fewer than min qualify, the least-stolen of the others top
-// them up, so every percentile rests on at least min samples when the run
-// has them.
-func (m *stealMeter) quiet(all []span, min int) []span {
-	type scored struct {
-		s     span
-		steal float64
-	}
-	sc := make([]scored, len(all))
-	for i, s := range all {
-		sc[i] = scored{s, m.share(s.from, s.to)}
-	}
-	sort.SliceStable(sc, func(i, j int) bool { return sc[i].steal < sc[j].steal })
-	var kept []span
-	for _, x := range sc {
-		if x.steal > quietSteal && len(kept) >= min {
-			break
-		}
-		kept = append(kept, x.s)
-	}
-	return kept
-}
-
-// totalShare is the steal share over the whole window.
-func (m *stealMeter) totalShare() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.marks) < 2 {
-		return 0
-	}
-	a, b := m.marks[0], m.marks[len(m.marks)-1]
-	if b.total <= a.total {
-		return 0
-	}
-	return float64(b.steal-a.steal) / float64(b.total-a.total)
 }
 
 // durations returns the spans' lengths.
@@ -420,11 +374,4 @@ func rate(sp []span) float64 {
 		return float64(n) / t.Seconds()
 	}
 	return 0
-}
-
-// noteSteal reports the window's steal share and how many of its samples
-// ran outside steal bursts.
-func noteSteal(b *bench, m *stealMeter, total int) {
-	b.noteValue("cpu_steal_pct", 100*m.totalShare(), "%", 0)
-	b.noteValue("samples_total", float64(total), "count", 0)
 }

@@ -95,13 +95,9 @@ type streamPhase struct {
 	emit, enc []span // per window: emission latency; encode time
 	passes    []span // per pass of the whole stream (n = packets)
 	rssMB     float64
-	steal     *stealMeter
 	sp        spans
 	mem       memDelta
 }
-
-// quietEmit is the phase's emission latencies outside steal bursts.
-func (ph *streamPhase) quietEmit() samples { return durations(ph.steal.quiet(ph.emit, 1)) }
 
 // runStream is stream-windows: one producer feeds the stream closed-loop
 // into RunStream, pass after pass, through an unbuffered channel.
@@ -117,20 +113,19 @@ func runStream(ctx context.Context, b *bench) error {
 	defer stop()
 
 	if !b.cfg.trace {
-		ph, err := streamRun(ctx, b, in, b.cfg.seconds, sc.minSamples, false)
+		ph, err := measureWindow(b, nil, func() (*streamPhase, error) {
+			return streamRun(ctx, b, in, b.cfg.seconds, sc.minSamples, false)
+		})
 		if err != nil {
 			return err
 		}
-		emit := durations(ph.steal.quiet(ph.emit, sc.minSamples))
-		enc := durations(ph.steal.quiet(ph.enc, sc.minSamples))
-		passes := ph.steal.quiet(ph.passes, 1)
+		emit, enc := durations(ph.emit), durations(ph.enc)
 		b.put("label_ms_p50", "window_emit_ms_p50", emit.quantile(0.5), len(emit))
 		b.put("label_ms_p90", "window_emit_ms_p90", emit.quantile(0.9), len(emit))
-		b.put("pkts_per_s", "stream_pkts_per_s", rate(passes), len(passes))
+		b.put("pkts_per_s", "stream_pkts_per_s", rate(ph.passes), len(ph.passes))
 		b.put("read_ms_p50", "v1_encode_ms_p50", enc.quantile(0.5), len(enc))
 		b.put("read_ms_p90", "v1_encode_ms_p90", enc.quantile(0.9), len(enc))
 		b.put("peak_rss_mb", "", ph.rssMB, 0)
-		noteSteal(b, ph.steal, len(ph.emit))
 		return nil
 	}
 
@@ -163,7 +158,7 @@ func runStream(ctx context.Context, b *bench) error {
 	b.put("v1.encode_ms", "", ms(total(traced.enc))/float64(max(ops, 1)), ops)
 	b.put("go.alloc_mb_per_op", "", float64(traced.mem.allocBytes)/(1<<20)/float64(max(ops, 1)), ops)
 	b.put("go.gc_cycles", "", float64(traced.mem.gcCycles)/float64(max(ops, 1)), ops)
-	b.put("bench.trace_overhead_pct", "", overheadPct(untraced.quietEmit(), traced.quietEmit()), ops)
+	b.put("bench.trace_overhead_pct", "", overheadPct(durations(untraced.emit), durations(traced.emit)), ops)
 
 	b.put("trace.seal_ms", "", lsp.perOp("trace.seal", windows), windows)
 	b.put("trace.window_index_ms", "", lsp.perOp("trace.window_index", windows), windows)
@@ -175,8 +170,7 @@ func runStream(ctx context.Context, b *bench) error {
 
 // streamRun runs stream passes for seconds (and at least minOps windows).
 func streamRun(ctx context.Context, b *bench, in *streamInput, seconds float64, minOps int, traced bool) (*streamPhase, error) {
-	ph := &streamPhase{sp: spans{}, steal: startSteal()}
-	defer ph.steal.finish()
+	ph := &streamPhase{sp: spans{}}
 	p := mawilab.NewPipeline()
 	p.Workers = b.cfg.scale.workers
 	p.Stream = streamConfig(b.cfg.scale)
@@ -341,8 +335,9 @@ func replayStream(ctx context.Context, b *bench, in *streamInput, sp spans, cnt 
 		if err := wirev1.WriteCSV(&csv, reports); err != nil {
 			return err
 		}
+		b.attempted++
 		if windows >= len(in.csvs) || !bytes.Equal(csv.Bytes(), in.csvs[windows]) {
-			b.problem("DIVERGENCE window %d: the traced replay's labels differ from the untraced run's", windows)
+			b.opFailed("DIVERGENCE window %d: the traced replay's labels differ from the untraced run's", windows)
 		}
 		windows++
 		return nil
@@ -395,7 +390,7 @@ func replayStream(ctx context.Context, b *bench, in *streamInput, sp spans, cnt 
 		}
 	}
 	if windows != len(in.csvs) {
-		b.problem("the traced replay labeled %d windows, the reference %d", windows, len(in.csvs))
+		b.opFailed("DIVERGENCE: the traced replay labeled %d windows, the reference %d", windows, len(in.csvs))
 	}
 	return windows, nil
 }

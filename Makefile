@@ -4,13 +4,14 @@
 GO ?= go
 # Benchmarks the CI smoke job tracks across commits (and the bench gate
 # compares against BENCH_baseline.json). PipelineDay, PipelineStream,
-# SimilarityGraph, Louvain, GenerateDay, TraceIndex and Extract carry
-# workers={1,4,N} sub-benches, so each run records the parallel speedup
-# ratios too (GenerateDay also matches the day-level GenerateDays fan-out
-# benches). TraceIndex covers the shared columnar index build, Extract the
-# posting-list alarm extraction, and PipelineStream the segmented streaming
-# path (per-segment seal + detect, sliding-window labeling). Ingest compares
-# the fused pcap→Index decode against the two-pass reference (its fused
+# SimilarityGraph, GenerateDay and Extract carry workers={1,4,N}
+# sub-benches, so each run records the parallel speedup ratios too
+# (GenerateDay also matches the day-level GenerateDays fan-out benches).
+# TraceIndex (the shared columnar index build) and Louvain are sequential
+# and keep one workers=1 sub-bench each. Extract covers the posting-list
+# alarm extraction, and PipelineStream the segmented streaming path
+# (per-segment seal + detect, sliding-window labeling). Ingest compares the
+# fused pcap→Index decode against ReadTrace+BuildIndex (its fused
 # sub-bench allocs/op is the steady-state serving cost), and HoughSparse
 # tracks the sparse Hough voting per tuning.
 BENCH_PATTERN ?= PipelineDay|PipelineStream|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse
@@ -44,7 +45,7 @@ LOAD_OPS ?= 20
 # always exact regardless of slack.
 LOAD_SLACK ?= 4
 
-.PHONY: all build test race bench bench-gate bench-baseline cover fmt vet fuzz lint serve-smoke load load-gate load-baseline load-smoke check
+.PHONY: all build test race bench bench-gate bench-baseline bench-selftest cover fmt vet fuzz lint serve-smoke load load-gate load-baseline load-smoke check
 
 all: build test
 
@@ -59,8 +60,8 @@ test:
 # TestStreamMatchesBatch / TestStreamDeterminismMatrix / cancellation
 # tests), every internal package where the concurrency lives — trace
 # (segment sealing + index builds), mawigen (windowed background
-# generation + injection fan-out), parallel (the pool itself), graphx
-# (partition-parallel Louvain), simgraph (keyed-shard similarity graph),
+# generation + injection fan-out), parallel (the pool itself), simgraph
+# (keyed-shard similarity graph),
 # serve (the daemon's engine admission/drain paths, lock-free histograms
 # and graceful-shutdown tests) — plus the cmd binaries' black-box tests
 # (mawilabd's serve smoke spawns the real daemon) and examples. ./... so
@@ -96,6 +97,14 @@ bench-baseline:
 	$(GO) run ./cmd/benchjson < bench_baseline.txt > BENCH_baseline.json
 	@rm bench_baseline.txt
 	@echo "wrote BENCH_baseline.json"
+
+# Self-test of the benchmark module (mawibench/, its own go.mod): vet plus
+# its tiny-scale tests, which compile against trace.BuildIndex,
+# trace.NewSegmentWriter, graphx.LouvainContext, core.EstimateContext and
+# the other APIs the benchmark drives. Running it on every change makes a
+# broken benchmark API fail here, not when the benchmark runs.
+bench-selftest:
+	cd mawibench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage gate: total statement coverage must stay at or above COVER_FLOOR.
 # cover.out is uploaded as a CI artifact for inspection.
@@ -176,4 +185,4 @@ load-baseline:
 load-smoke:
 	$(GO) test ./cmd/mawiload -run '^TestLoadSmoke$$' -v -count=1
 
-check: build vet fmt lint test fuzz serve-smoke load-smoke
+check: build vet fmt lint test bench-selftest fuzz serve-smoke load-smoke

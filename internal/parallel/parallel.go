@@ -201,23 +201,6 @@ func ForEachRange(ctx context.Context, n, workers int, fn func(ctx context.Conte
 	})
 }
 
-// MapRanges is ForEachRange gathering one result per chunk, in chunk order —
-// the fan-in for stages that emit a list per contiguous range and need the
-// concatenation to reproduce the full [0, n) order. Chunks are never empty:
-// Clamp caps the chunk count at n. Error semantics match ForEach.
-func MapRanges[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, lo, hi int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	chunks := Clamp(workers, n)
-	return Map(ctx, chunks, chunks, func(ctx context.Context, c int) (T, error) {
-		return fn(ctx, c*n/chunks, (c+1)*n/chunks)
-	})
-}
-
 // Map runs fn(ctx, i) for every i in [0, n) on at most `workers` goroutines
 // and gathers the results in index order — the fan-in side of a fan-out.
 // Error semantics match ForEach.

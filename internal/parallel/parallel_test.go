@@ -419,51 +419,3 @@ func TestForEachRangeError(t *testing.T) {
 		t.Errorf("err = %v, want the range failure", err)
 	}
 }
-
-func TestMapRangesConcatenationPreservesOrder(t *testing.T) {
-	// The chunk-ordered concatenation must reproduce [0, n) for any worker
-	// count — the property the graphx aggregation fold is built on.
-	const n = 53
-	for _, workers := range []int{1, 2, 4, 9} {
-		lists, err := MapRanges(context.Background(), n, workers, func(_ context.Context, lo, hi int) ([]int, error) {
-			out := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				out = append(out, i)
-			}
-			return out, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var flat []int
-		for _, l := range lists {
-			flat = append(flat, l...)
-		}
-		for i, v := range flat {
-			if v != i {
-				t.Fatalf("workers=%d: flat[%d] = %d (concatenation out of order)", workers, i, v)
-			}
-		}
-		if len(flat) != n {
-			t.Fatalf("workers=%d: %d items, want %d", workers, len(flat), n)
-		}
-	}
-}
-
-func TestMapRangesZeroAndCancelled(t *testing.T) {
-	out, err := MapRanges(context.Background(), 0, 4, func(context.Context, int, int) (int, error) {
-		t.Fatal("fn called for empty range")
-		return 0, nil
-	})
-	if err != nil || out != nil {
-		t.Fatalf("empty range: out=%v err=%v", out, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := MapRanges(ctx, 0, 4, func(context.Context, int, int) (int, error) { return 0, nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled empty range err = %v, want context.Canceled", err)
-	}
-	if _, err := MapRanges(ctx, 10, 4, func(context.Context, int, int) (int, error) { return 0, nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled err = %v, want context.Canceled", err)
-	}
-}

@@ -19,11 +19,11 @@ func pcapBytes(t testing.TB, packets []trace.Packet) []byte {
 	return buf.Bytes()
 }
 
-// checkDecodeEquivalence runs the fused DecodeIndex and the two-pass
-// ReadTrace+BuildIndex reference over the same byte stream and asserts they
-// agree. The one sanctioned divergence: a stream whose packets decode but
-// arrive out of timestamp order is accepted by the reference (which never
-// checks) and rejected by the fused path with trace.ErrUnsorted.
+// checkDecodeEquivalence runs the fused DecodeIndex and the materializing
+// ReadTrace+NewIndex path over the same byte stream and asserts they agree.
+// The one sanctioned divergence: a stream whose packets decode but arrive
+// out of timestamp order is accepted by ReadTrace (which never checks) and
+// rejected by the fused path with trace.ErrUnsorted.
 func checkDecodeEquivalence(t testing.TB, data []byte) {
 	ref, refErr := ReadTrace(bytes.NewReader(data))
 	ix, err := DecodeIndex(bytes.NewReader(data))
@@ -42,7 +42,7 @@ func checkDecodeEquivalence(t testing.TB, data []byte) {
 	defer ix.Release()
 	want := trace.NewIndex(ref)
 	if !trace.EqualIndexes(ix, want) {
-		t.Fatalf("fused index differs from two-pass reference (%d packets)", ref.Len())
+		t.Fatalf("fused index differs from ReadTrace+NewIndex (%d packets)", ref.Len())
 	}
 	if got := ix.Digest(); got != ref.Digest() {
 		t.Fatalf("digest mismatch: fused %s, trace %s", got, ref.Digest())

@@ -349,8 +349,8 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 // what makes steady-state serving allocate ~nothing per upload.
 //
 // The result is structurally identical to ReadTrace followed by
-// trace.BuildIndex at any worker count (the reference two-pass path, pinned
-// by differential and fuzz tests), with one deliberate exception: streams
+// trace.BuildIndex (pinned by differential and fuzz tests), with one
+// deliberate exception: streams
 // whose rebased timestamps violate the sorted trace model are rejected with
 // trace.ErrUnsorted instead of being accepted as an unsorted Trace, because
 // the columns are final as they stream in.

@@ -117,6 +117,21 @@ func (a *indexArena) reset() {
 	clear(a.byDstPort)
 }
 
+// reserve sizes a fresh arena's packet columns for n packets, so a build
+// whose length is known up front never regrows them.
+func (a *indexArena) reserve(n int) {
+	a.ts = make([]int64, 0, n)
+	a.seconds = make([]float64, 0, n)
+	a.src = make([]IPv4, 0, n)
+	a.dst = make([]IPv4, 0, n)
+	a.srcPort = make([]uint16, 0, n)
+	a.dstPort = make([]uint16, 0, n)
+	a.pktLen = make([]uint16, 0, n)
+	a.proto = make([]Proto, 0, n)
+	a.flags = make([]TCPFlags, 0, n)
+	a.flowSeq = make([]int32, 0, n)
+}
+
 // resize32 returns s grown (or shrunk) to length n, reusing capacity.
 func resize32(s *[]int32, n int) []int32 {
 	if cap(*s) < n {
@@ -135,10 +150,10 @@ func resize32(s *[]int32, n int) []int32 {
 // (NewIndexBuilder) draws every buffer from a recycled arena, so the
 // steady-state serving path allocates almost nothing per trace.
 //
-// The result is structurally identical to ReadTrace+BuildIndex — the
-// two-pass reference path, which stays pinned by differential tests at every
-// worker count — and bitwise-independent of scheduling (the builder is
-// purely sequential).
+// It is the only way an Index is built: DecodeIndex, SegmentWriter and
+// BuildIndex all feed one. The result is pinned by differential tests to a
+// two-pass map-collect-then-sort reference build kept in the package's
+// tests, and it is independent of scheduling (the builder is sequential).
 //
 // Packets must arrive in non-decreasing timestamp order with non-negative
 // timestamps; Add rejects violations with ErrUnsorted. Abandon a partial
@@ -161,8 +176,9 @@ func NewIndexBuilder() *IndexBuilder {
 }
 
 // newDetachedBuilder returns a builder whose finished index owns its buffers
-// outright (Release is a no-op): the segment-sealing path hands indexes to
-// window consumers of unknown lifetime, so recycling would be unsound.
+// outright (Release is a no-op): the segment-sealing path and BuildIndex
+// hand indexes to consumers of unknown lifetime, so recycling would be
+// unsound.
 func newDetachedBuilder() *IndexBuilder {
 	a := new(indexArena)
 	a.reset()
@@ -271,7 +287,8 @@ func (b *IndexBuilder) Finish() *Index {
 }
 
 // finish implements Finish; tr, when non-nil, is attached as the index's
-// backing trace (the segment-sealing path keeps its materialized packets).
+// backing trace (the segment-sealing path and BuildIndex keep their
+// materialized packets).
 func (b *IndexBuilder) finish(tr *Trace) *Index {
 	a := b.a
 	n := len(a.ts)
@@ -279,7 +296,7 @@ func (b *IndexBuilder) finish(tr *Trace) *Index {
 
 	// Canonical flow order: sort the provisional ids by key, then rank maps
 	// provisional → canonical. This is the counting-sort analogue of the
-	// reference path's map-collect-then-sort.
+	// reference build's map-collect-then-sort.
 	order := resize32(&a.order, nf)
 	for i := range order {
 		order[i] = int32(i)
@@ -296,8 +313,8 @@ func (b *IndexBuilder) finish(tr *Trace) *Index {
 
 	// Packet runs: counting sort over the per-packet provisional ids. Each
 	// flow's run fills in ascending packet order because the single fill
-	// pass walks packets in order — the same ascending-run invariant the
-	// reference path gets from per-range merges in slot order.
+	// pass walks packets in order — the same ascending runs the reference
+	// build's per-flow appends produce.
 	counts := resize32(&a.counts, nf)
 	for i := range counts {
 		counts[i] = 0
@@ -365,7 +382,7 @@ func (b *IndexBuilder) finish(tr *Trace) *Index {
 		a.byDstPort[k.DstPort] = append(p, int32(fi))
 	}
 
-	// Time buckets, exactly as the reference path lays them out.
+	// Time buckets: one offset per trace second, closed by the packet count.
 	nb := 0
 	if n > 0 {
 		nb = int(a.ts[n-1]/bucketTS) + 1
@@ -408,8 +425,8 @@ func (b *IndexBuilder) finish(tr *Trace) *Index {
 }
 
 // Release returns a pooled index's buffers to the arena pool for the next
-// build and is a no-op on indexes built by the reference path or the
-// segment sealer. Only the owner may call it, and only once no other
+// build and is a no-op on detached indexes (BuildIndex, the segment
+// sealer). Only the owner may call it, and only once no other
 // reference to the index (or any slice it exposed) remains: the columns are
 // cleared to fail fast, but the recycled backing arrays will be overwritten
 // by a later build. The serving job path releases after the labeling is
@@ -434,10 +451,9 @@ func (ix *Index) Release() {
 
 // EqualIndexes reports whether two indexes are structurally identical:
 // same columns, canonical flow table, packet runs, posting lists and time
-// buckets. Nil and empty slices compare equal — the reference path
-// pre-sizes, the fused path appends. It backs the differential tests that
-// pin the fused builder to the two-pass reference, and the per-segment
-// seal-vs-rebuild checks.
+// buckets. Nil and empty slices compare equal — the test reference build
+// pre-sizes, the builder appends. It backs the differential tests that pin
+// the builder to the two-pass reference and to the pcap ingest path.
 func EqualIndexes(a, b *Index) bool {
 	if a.Len() != b.Len() || len(a.flows) != len(b.flows) {
 		return false

@@ -20,28 +20,28 @@ func buildFused(t *testing.T, tr *Trace) *Index {
 	return b.Finish()
 }
 
-// TestBuilderMatchesReference pins the fused single-pass builder to the
-// two-pass reference at every worker count: identical structures
-// (EqualIndexes over columns, flows, runs, postings, buckets) and an
-// identical content digest, which must also equal the source trace's digest.
+// TestBuilderMatchesReference pins the fused single-pass builder — pooled
+// (NewIndexBuilder) and detached (BuildIndex) — to the two-pass reference
+// build: identical structures (EqualIndexes over columns, flows, runs,
+// postings, buckets) and an identical content digest, which must also equal
+// the source trace's digest.
 func TestBuilderMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 37, 4000} {
 		tr := indexTestTrace(int64(100+n), n)
+		ref := buildIndexRef(tr)
 		fused := buildFused(t, tr)
-		for _, workers := range []int{1, 2, 4, 8} {
-			ref, err := BuildIndex(context.Background(), tr, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !EqualIndexes(fused, ref) {
-				t.Fatalf("n=%d workers=%d: fused index differs from reference", n, workers)
-			}
-			if fused.Digest() != ref.Digest() {
-				t.Fatalf("n=%d workers=%d: digest mismatch", n, workers)
-			}
+		detached, err := BuildIndex(context.Background(), tr, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fused.Digest() != tr.Digest() {
-			t.Fatalf("n=%d: index digest %s != trace digest %s", n, fused.Digest(), tr.Digest())
+		for i, ix := range []*Index{fused, detached} {
+			name := []string{"pooled", "detached"}[i]
+			if !EqualIndexes(ix, ref) {
+				t.Fatalf("n=%d: %s index differs from reference", n, name)
+			}
+			if ix.Digest() != tr.Digest() {
+				t.Fatalf("n=%d: %s index digest %s != trace digest %s", n, name, ix.Digest(), tr.Digest())
+			}
 		}
 		fused.Release()
 	}
@@ -58,7 +58,7 @@ func TestBuilderPoolReuse(t *testing.T) {
 		n := []int{3000, 10, 700, 1}[round%4] + rng.Intn(50)
 		tr := indexTestTrace(int64(round), n)
 		fused := buildFused(t, tr)
-		ref := NewIndex(tr)
+		ref := buildIndexRef(tr)
 		if !EqualIndexes(fused, ref) {
 			t.Fatalf("round %d (n=%d): pooled rebuild differs from reference", round, n)
 		}
@@ -146,7 +146,7 @@ func TestDetachedBuilderDeepEqual(t *testing.T) {
 		}
 	}
 	ix := b.finish(tr)
-	if !reflect.DeepEqual(ix, NewIndex(tr)) {
+	if !reflect.DeepEqual(ix, buildIndexRef(tr)) {
 		t.Fatal("detached fused build not DeepEqual to reference")
 	}
 	if ix.arena != nil {

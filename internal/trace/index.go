@@ -2,12 +2,7 @@ package trace
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"sort"
-
-	"mawilab/internal/parallel"
 )
 
 // bucketTS is the fixed time-bucket width of the index, in microseconds.
@@ -22,14 +17,13 @@ const bucketTS = int64(1e6)
 //
 // The pipeline builds the index once per trace and shares it across every
 // consumer — the detector fan-out, the similarity estimator's traffic
-// extractor, community labeling and the Table 1 heuristics — replacing the
-// per-consumer FlowIndex rebuilds and full-trace rescans. The column slices
-// are exported for hot loops; neither they nor the trace may be mutated
-// after Build.
+// extractor, community labeling and the Table 1 heuristics — replacing
+// per-consumer flow-table rebuilds and full-trace rescans. The column
+// slices are exported for hot loops; neither they nor the trace may be
+// mutated after the build.
 //
-// Determinism contract: the index is bitwise-identical at every worker
-// count (flow order, runs, postings, buckets), same as the rest of the
-// pipeline — range merges happen in slot order and the flow table is sorted
+// Every index is built by an IndexBuilder (DecodeIndex, SegmentWriter and
+// BuildIndex all feed one), which is sequential and sorts the flow table
 // canonically, so no structure depends on goroutine scheduling.
 type Index struct {
 	tr *Trace
@@ -65,122 +59,41 @@ type Index struct {
 	bucketLo []int32
 
 	// arena, when non-nil, is the pooled backing storage of a fused
-	// IndexBuilder build; Release returns it for reuse. Reference-path and
-	// detached builds leave it nil.
+	// IndexBuilder build; Release returns it for reuse. Detached builds
+	// leave it nil.
 	arena *indexArena
 }
 
-// NewIndex builds the index sequentially — the reference path. It is the
-// convenience for tests and one-shot tools; pipelines use BuildIndex to
-// share the worker pool.
+// NewIndex builds the index of a sorted trace. It is the convenience for
+// tests and one-shot tools; it panics on a trace that violates the sorted
+// trace model (see BuildIndex).
 func NewIndex(tr *Trace) *Index {
 	ix, err := BuildIndex(context.Background(), tr, 1)
 	if err != nil {
-		// Unreachable: with a background context the sequential build has
-		// no failure mode.
-		panic("trace: sequential index build failed: " + err.Error())
+		panic("trace: index build failed: " + err.Error())
 	}
 	return ix
 }
 
-// BuildIndex builds the index with up to `workers` goroutines on the shared
-// worker pool (<= 1 runs inline). The trace must be sorted (Trace.Sort) with
-// non-negative timestamps. The result is bitwise-identical at every worker
-// count.
+// BuildIndex builds the index of a materialized trace by feeding its packets
+// through a detached IndexBuilder, so the index owns its buffers (Release is
+// a no-op) and keeps tr as its backing trace. The trace must be sorted
+// (Trace.Sort) with non-negative timestamps; violations return ErrUnsorted.
+// workers is accepted for call-site compatibility and ignored: the build is
+// sequential, like every other index build.
 func BuildIndex(ctx context.Context, tr *Trace, workers int) (*Index, error) {
-	n := tr.Len()
-	ix := &Index{
-		tr:      tr,
-		TS:      make([]int64, n),
-		Seconds: make([]float64, n),
-		Src:     make([]IPv4, n),
-		Dst:     make([]IPv4, n),
-		SrcPort: make([]uint16, n),
-		DstPort: make([]uint16, n),
-		PktLen:  make([]uint16, n),
-		Proto:   make([]Proto, n),
-		Flags:   make([]TCPFlags, n),
-		flowOf:  make([]int32, n),
-	}
-
-	// Columns: index-addressed writes over contiguous ranges.
-	if err := parallel.ForEachRange(ctx, n, workers, func(_ context.Context, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			p := &tr.Packets[i]
-			ix.TS[i] = p.TS
-			ix.Seconds[i] = p.Seconds()
-			ix.Src[i] = p.Src
-			ix.Dst[i] = p.Dst
-			ix.SrcPort[i] = p.SrcPort
-			ix.DstPort[i] = p.DstPort
-			ix.PktLen[i] = p.Len
-			ix.Proto[i] = p.Proto
-			ix.Flags[i] = p.Flags
-		}
-		return nil
-	}); err != nil {
+	_ = workers
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Flow runs: per-range private maps, merged in range order so every
-	// flow's packet list stays ascending regardless of chunk boundaries.
-	partials, err := parallel.MapRanges(ctx, n, workers, func(_ context.Context, lo, hi int) (map[FlowKey][]int32, error) {
-		m := make(map[FlowKey][]int32)
-		for i := lo; i < hi; i++ {
-			k := tr.Packets[i].Flow()
-			m[k] = append(m[k], int32(i))
-		}
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := make(map[FlowKey][]int32)
-	for _, m := range partials {
-		for k, idxs := range m {
-			merged[k] = append(merged[k], idxs...) //mawilint:allow maprange — each flow key occurs at most once per partial, so every run list concatenates in ascending slot order; flow order itself is canonicalized below
+	b := newDetachedBuilder()
+	b.a.reserve(tr.Len())
+	for i := range tr.Packets {
+		if err := b.Add(tr.Packets[i]); err != nil {
+			return nil, err
 		}
 	}
-
-	// Canonical flow order: sort by fields, the one flow order every
-	// consumer shares.
-	ix.flows = make([]FlowKey, 0, len(merged))
-	for k := range merged {
-		ix.flows = append(ix.flows, k)
-	}
-	sort.Slice(ix.flows, func(i, j int) bool { return flowLess(ix.flows[i], ix.flows[j]) })
-
-	ix.flowOff = make([]int32, len(ix.flows)+1)
-	ix.flowPkts = make([]int32, 0, n)
-	ix.bySrc = make(map[IPv4][]int32)
-	ix.byDst = make(map[IPv4][]int32)
-	ix.byDstPort = make(map[uint16][]int32)
-	for fi, k := range ix.flows {
-		run := merged[k]
-		ix.flowPkts = append(ix.flowPkts, run...)
-		ix.flowOff[fi+1] = int32(len(ix.flowPkts))
-		for _, pi := range run {
-			ix.flowOf[pi] = int32(fi)
-		}
-		ix.bySrc[k.Src] = append(ix.bySrc[k.Src], int32(fi))
-		ix.byDst[k.Dst] = append(ix.byDst[k.Dst], int32(fi))
-		ix.byDstPort[k.DstPort] = append(ix.byDstPort[k.DstPort], int32(fi))
-	}
-
-	// Time buckets: one offset per trace second, closed by the packet count.
-	nb := 0
-	if n > 0 {
-		nb = int(ix.TS[n-1]/bucketTS) + 1
-	}
-	ix.bucketLo = make([]int32, nb+1)
-	pi := 0
-	for b := 0; b <= nb; b++ {
-		for pi < n && ix.TS[pi] < int64(b)*bucketTS {
-			pi++
-		}
-		ix.bucketLo[b] = int32(pi)
-	}
-	return ix, nil
+	return b.finish(tr), nil
 }
 
 // flowLess is the canonical flow-table order: by source, destination,
@@ -233,26 +146,11 @@ func (ix *Index) PacketAt(i int) Packet {
 	}
 }
 
-// Digest returns the index's canonical content digest — hex sha256 over the
-// packet columns in the exact fixed-width record layout of Trace.Digest, so
-// a fused-built index and the trace it decoded from always agree. The serve
-// path keys its label store and dedup on it.
-func (ix *Index) Digest() string {
-	h := sha256.New()
-	var buf [24]byte
-	for i := range ix.TS {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(ix.TS[i]))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(ix.Src[i]))
-		binary.LittleEndian.PutUint32(buf[12:16], uint32(ix.Dst[i]))
-		binary.LittleEndian.PutUint16(buf[16:18], ix.SrcPort[i])
-		binary.LittleEndian.PutUint16(buf[18:20], ix.DstPort[i])
-		binary.LittleEndian.PutUint16(buf[20:22], ix.PktLen[i])
-		buf[22] = byte(ix.Proto[i])
-		buf[23] = byte(ix.Flags[i])
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// Digest returns the index's canonical content digest: Trace.Digest's
+// record encoding over the packet columns, so a fused-built index and the
+// trace it decoded from always agree. The serve path keys its label store
+// and dedup on it.
+func (ix *Index) Digest() string { return digestRecords(ix.Len(), ix.PacketAt) }
 
 // Flows returns the number of distinct unidirectional flows.
 func (ix *Index) Flows() int { return len(ix.flows) }

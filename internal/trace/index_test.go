@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -29,56 +30,45 @@ func indexTestTrace(seed int64, n int) *Trace {
 	return tr
 }
 
-// TestIndexParallelismDeterminism mirrors the repo's other determinism
-// matrices: the index built at workers 1, 2, 4 and 8 — and across repeated
-// runs — must be bitwise-identical in every structure: columns, flow order,
-// packet runs, postings and time buckets.
-func TestIndexParallelismDeterminism(t *testing.T) {
+// TestBuildIndexMatchesReference is the differential for the
+// materialized-trace path every batch and window index goes through:
+// BuildIndex must be reflect.DeepEqual to the two-pass reference build —
+// columns, flow order, packet runs, postings, time buckets and backing
+// trace — on every repeated run.
+func TestBuildIndexMatchesReference(t *testing.T) {
 	tr := indexTestTrace(7, 4000)
-	ref, err := BuildIndex(context.Background(), tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for run := 0; run < 3; run++ {
-			ix, err := BuildIndex(context.Background(), tr, workers)
-			if err != nil {
-				t.Fatalf("workers=%d run=%d: %v", workers, run, err)
-			}
-			if !reflect.DeepEqual(ix.flows, ref.flows) {
-				t.Fatalf("workers=%d run=%d: flow order differs", workers, run)
-			}
-			if !reflect.DeepEqual(ix.flowOff, ref.flowOff) || !reflect.DeepEqual(ix.flowPkts, ref.flowPkts) {
-				t.Fatalf("workers=%d run=%d: packet runs differ", workers, run)
-			}
-			if !reflect.DeepEqual(ix.flowOf, ref.flowOf) {
-				t.Fatalf("workers=%d run=%d: packet→flow mapping differs", workers, run)
-			}
-			if !reflect.DeepEqual(ix.bySrc, ref.bySrc) || !reflect.DeepEqual(ix.byDst, ref.byDst) ||
-				!reflect.DeepEqual(ix.byDstPort, ref.byDstPort) {
-				t.Fatalf("workers=%d run=%d: posting lists differ", workers, run)
-			}
-			if !reflect.DeepEqual(ix.bucketLo, ref.bucketLo) {
-				t.Fatalf("workers=%d run=%d: time buckets differ", workers, run)
-			}
-			if !reflect.DeepEqual(ix.TS, ref.TS) || !reflect.DeepEqual(ix.Seconds, ref.Seconds) ||
-				!reflect.DeepEqual(ix.Src, ref.Src) || !reflect.DeepEqual(ix.Dst, ref.Dst) ||
-				!reflect.DeepEqual(ix.SrcPort, ref.SrcPort) || !reflect.DeepEqual(ix.DstPort, ref.DstPort) ||
-				!reflect.DeepEqual(ix.PktLen, ref.PktLen) || !reflect.DeepEqual(ix.Proto, ref.Proto) ||
-				!reflect.DeepEqual(ix.Flags, ref.Flags) {
-				t.Fatalf("workers=%d run=%d: columns differ", workers, run)
-			}
+	ref := buildIndexRef(tr)
+	for run := 0; run < 3; run++ {
+		ix, err := BuildIndex(context.Background(), tr, 1)
+		if err != nil {
+			t.Fatalf("run=%d: %v", run, err)
 		}
+		if !reflect.DeepEqual(ix, ref) {
+			t.Fatalf("run=%d: BuildIndex differs from the reference build", run)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BuildIndex(ctx, tr, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled BuildIndex: %v, want context.Canceled", err)
+	}
+	unsorted := &Trace{Packets: []Packet{{TS: 2}, {TS: 1}}}
+	if _, err := BuildIndex(context.Background(), unsorted, 1); !errors.Is(err, ErrUnsorted) {
+		t.Fatalf("unsorted BuildIndex: %v, want ErrUnsorted", err)
 	}
 }
 
 // TestIndexMatchesFlowIndex: the canonical flow table must carry exactly
-// the flows and packet runs of the one-shot Trace.FlowIndex, in the
-// extractor's historical sort order.
+// the flows and packet runs of a one-shot flow-key → packet-indices map, in
+// the extractor's historical sort order.
 func TestIndexMatchesFlowIndex(t *testing.T) {
 	tr := indexTestTrace(11, 2500)
 	ix := NewIndex(tr)
-	want := tr.FlowIndex()
+	want := make(map[FlowKey][]int)
+	for i := range tr.Packets {
+		k := tr.Packets[i].Flow()
+		want[k] = append(want[k], i)
+	}
 	if ix.Flows() != len(want) {
 		t.Fatalf("flows = %d, want %d", ix.Flows(), len(want))
 	}

@@ -9,11 +9,11 @@ import (
 )
 
 // Segment is one sealed, immutable span of a packet stream: the packets with
-// timestamps in [Start, End) seconds plus their own columnar Index, built on
-// the shared worker pool the moment the segment sealed. Segments are the
-// LSM-style unit of the streaming pipeline — packets accumulate in an open
-// segment, the segment seals when the stream crosses its upper boundary, and
-// from then on neither the trace nor the index may be mutated. Everything
+// timestamps in [Start, End) seconds plus their own columnar Index,
+// finished the moment the segment sealed. Segments are the LSM-style unit
+// of the streaming pipeline — packets accumulate in an open segment, the
+// segment seals when the stream crosses its upper boundary, and from then
+// on neither the trace nor the index may be mutated. Everything
 // downstream (per-segment detection, window labeling) consumes sealed
 // segments only.
 type Segment struct {
@@ -65,9 +65,9 @@ var ErrSegmentWriterClosed = errors.New("trace: segment writer is closed")
 //
 // The segment's Index is built incrementally by a fused IndexBuilder fed on
 // every Append, so sealing only canonicalizes — no second pass over the
-// packets. The result is structurally identical to BuildIndex over the
-// sealed trace at every worker count (pinned by the seal-vs-rebuild tests),
-// so the streaming path keeps the repo-wide determinism contract.
+// packets. The result is structurally identical to the two-pass reference
+// build over the sealed trace (pinned by the seal-vs-rebuild tests), so the
+// streaming path keeps the repo-wide determinism contract.
 type SegmentWriter struct {
 	ctx    context.Context
 	stepUS int64 // segment length in microseconds; 0 = one unbounded segment
@@ -83,9 +83,9 @@ type SegmentWriter struct {
 // NewSegmentWriter returns a writer sealing segments of the given length in
 // seconds. seconds <= 0 selects the canonical batch boundary: one unbounded
 // segment, sealed only by Close — the chop Run/RunContext replay through.
-// workers is accepted for call-site compatibility but unused: the fused
-// per-Append build replaced the seal-time BuildIndex pass, and it is
-// sequential by construction (hence trivially deterministic).
+// workers is accepted for call-site compatibility and ignored: the fused
+// per-Append build is sequential by construction (hence trivially
+// deterministic).
 func NewSegmentWriter(ctx context.Context, seconds float64, workers int) *SegmentWriter {
 	_ = workers
 	stepUS := int64(0)
@@ -153,8 +153,7 @@ func (w *SegmentWriter) Close() (*Segment, error) {
 }
 
 // seal finalizes the open segment's incrementally-built index and hands the
-// segment off. The context check preserves the cancellation semantics the
-// pooled BuildIndex used to provide at seal time.
+// segment off. A cancelled context fails the seal, as it fails BuildIndex.
 func (w *SegmentWriter) seal() (*Segment, error) {
 	if err := w.ctx.Err(); err != nil {
 		w.b.Discard()
@@ -174,14 +173,14 @@ func (w *SegmentWriter) seal() (*Segment, error) {
 }
 
 // SealTrace wraps an already-materialized trace as the canonical single
-// sealed segment: the whole trace, unbounded span, index built on the pool.
-// This is the batch boundary — Pipeline.Run/RunContext chop a materialized
+// sealed segment: the whole trace, unbounded span, index built by
+// BuildIndex. This is the batch boundary — Pipeline.Run/RunContext chop a materialized
 // day at it and replay the result through the same engine the streaming
 // path uses, which is what keeps batch and stream outputs bit-for-bit
 // interchangeable. The trace must be sorted with non-negative timestamps
 // and must not be mutated afterwards.
-func SealTrace(ctx context.Context, tr *Trace, workers int) (*Segment, error) {
-	ix, err := BuildIndex(ctx, tr, workers)
+func SealTrace(ctx context.Context, tr *Trace) (*Segment, error) {
+	ix, err := BuildIndex(ctx, tr, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -195,9 +194,9 @@ func SealTrace(ctx context.Context, tr *Trace, workers int) (*Segment, error) {
 // error — a cancelled context, or an out-of-order packet. Like all Go
 // iterators it is single-use and pull-driven: sealing (and the index build
 // it implies) happens on the consumer's goroutine.
-func Segments(ctx context.Context, packets <-chan Packet, seconds float64, workers int) iter.Seq2[*Segment, error] {
+func Segments(ctx context.Context, packets <-chan Packet, seconds float64) iter.Seq2[*Segment, error] {
 	return func(yield func(*Segment, error) bool) {
-		w := NewSegmentWriter(ctx, seconds, workers)
+		w := NewSegmentWriter(ctx, seconds, 1)
 		for {
 			select {
 			case <-ctx.Done():

@@ -128,23 +128,21 @@ func TestSegmentWriterClosed(t *testing.T) {
 }
 
 // TestSegmentIndexMatchesDirectBuild: a sealed segment's index is the same
-// structure NewIndex would build over the segment's packets, at every worker
-// count — the per-segment face of the repo's determinism contract.
+// structure the two-pass reference build makes over the segment's packets —
+// the per-segment face of the repo's determinism contract.
 func TestSegmentIndexMatchesDirectBuild(t *testing.T) {
 	tr := buildTrace(600, 11)
-	for _, workers := range []int{1, 2, 4, 8} {
-		w := NewSegmentWriter(context.Background(), 0.15, workers)
-		for _, s := range appendAll(t, w, tr) {
-			if !reflect.DeepEqual(s.Index, NewIndex(s.Trace)) {
-				t.Fatalf("workers=%d: segment %d index differs from direct sequential build", workers, s.Seq)
-			}
+	w := NewSegmentWriter(context.Background(), 0.15, 1)
+	for _, s := range appendAll(t, w, tr) {
+		if !reflect.DeepEqual(s.Index, buildIndexRef(s.Trace)) {
+			t.Fatalf("segment %d index differs from the reference build", s.Seq)
 		}
 	}
 }
 
 func TestSealTraceCanonical(t *testing.T) {
 	tr := buildTrace(200, 3)
-	seg, err := SealTrace(context.Background(), tr, 2)
+	seg, err := SealTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +152,12 @@ func TestSealTraceCanonical(t *testing.T) {
 	if seg.Start != 0 || !math.IsInf(seg.End, 1) {
 		t.Errorf("canonical segment spans [%g,%g), want [0,+Inf)", seg.Start, seg.End)
 	}
-	if !reflect.DeepEqual(seg.Index, NewIndex(tr)) {
+	if !reflect.DeepEqual(seg.Index, buildIndexRef(tr)) {
 		t.Error("canonical segment index differs from the whole-trace index")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SealTrace(ctx, tr, 1); !errors.Is(err, context.Canceled) {
+	if _, err := SealTrace(ctx, tr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled SealTrace: %v, want context.Canceled", err)
 	}
 }
@@ -179,7 +177,7 @@ func TestSegmentsIteratorMatchesWriter(t *testing.T) {
 	tr := buildTrace(500, 5)
 	want := appendAll(t, NewSegmentWriter(context.Background(), 0.12, 1), tr)
 	var got []*Segment
-	for seg, err := range Segments(context.Background(), replayChan(tr), 0.12, 1) {
+	for seg, err := range Segments(context.Background(), replayChan(tr), 0.12) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +194,7 @@ func TestSegmentsIteratorCancellation(t *testing.T) {
 	// Channel left open and empty: only the context can end the iteration.
 	ch := make(chan Packet)
 	var sawErr error
-	for seg, err := range Segments(ctx, ch, 1, 1) {
+	for seg, err := range Segments(ctx, ch, 1) {
 		if seg != nil {
 			t.Fatal("segment yielded under a cancelled context")
 		}
@@ -212,7 +210,7 @@ func TestSegmentsIteratorPropagatesAppendError(t *testing.T) {
 	tr.Append(Packet{TS: 2000})
 	tr.Append(Packet{TS: 1000}) // out of order
 	var sawErr error
-	for _, err := range Segments(context.Background(), replayChan(tr), 1, 1) {
+	for _, err := range Segments(context.Background(), replayChan(tr), 1) {
 		if err != nil {
 			sawErr = err
 		}
@@ -228,7 +226,7 @@ func TestSegmentsIteratorPropagatesAppendError(t *testing.T) {
 func TestSegmentsIteratorEarlyBreak(t *testing.T) {
 	tr := buildTrace(400, 9)
 	n := 0
-	for _, err := range Segments(context.Background(), replayChan(tr), 0.1, 1) {
+	for _, err := range Segments(context.Background(), replayChan(tr), 0.1) {
 		if err != nil {
 			t.Fatal(err)
 		}

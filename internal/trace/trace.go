@@ -122,10 +122,17 @@ func (t *Trace) ComputeStats() Stats {
 // tests — one digest definition, so a future Packet field can never be
 // hashed by one fixture suite and silently ignored by another.
 func (t *Trace) Digest() string {
+	return digestRecords(len(t.Packets), func(i int) Packet { return t.Packets[i] })
+}
+
+// digestRecords hashes packets 0..n-1, read through at, as fixed-width
+// 24-byte little-endian records — the one encoding behind Trace.Digest and
+// Index.Digest.
+func digestRecords(n int, at func(i int) Packet) string {
 	h := sha256.New()
 	var buf [24]byte
-	for i := range t.Packets {
-		p := &t.Packets[i]
+	for i := 0; i < n; i++ {
+		p := at(i)
 		binary.LittleEndian.PutUint64(buf[0:], uint64(p.TS))
 		binary.LittleEndian.PutUint32(buf[8:], uint32(p.Src))
 		binary.LittleEndian.PutUint32(buf[12:], uint32(p.Dst))
@@ -137,20 +144,6 @@ func (t *Trace) Digest() string {
 		h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// FlowIndex maps every unidirectional flow key in the trace to the indices
-// of its packets, in timestamp order. It is a one-shot convenience for
-// ad-hoc tools and tests; pipeline consumers should share a trace.Index
-// instead, whose canonical sorted flow table and posting lists replace
-// every per-consumer FlowIndex rebuild.
-func (t *Trace) FlowIndex() map[FlowKey][]int {
-	idx := make(map[FlowKey][]int)
-	for i := range t.Packets {
-		k := t.Packets[i].Flow()
-		idx[k] = append(idx[k], i)
-	}
-	return idx
 }
 
 // String renders a short summary.

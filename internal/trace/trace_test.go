@@ -87,12 +87,13 @@ func TestComputeStats(t *testing.T) {
 
 func TestFlowIndexCoversAllPackets(t *testing.T) {
 	tr := buildTrace(500, 42)
-	idx := tr.FlowIndex()
+	ix := NewIndex(tr)
 	total := 0
-	for k, pkts := range idx {
+	for fi := 0; fi < ix.Flows(); fi++ {
+		pkts := ix.FlowPackets(fi)
 		total += len(pkts)
 		for _, i := range pkts {
-			if tr.Packets[i].Flow() != k {
+			if tr.Packets[i].Flow() != ix.Flow(fi) {
 				t.Fatalf("packet %d indexed under wrong flow", i)
 			}
 		}

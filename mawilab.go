@@ -179,17 +179,17 @@ func EncodePcap(w io.Writer, ix *Index) error { return pcap.WriteIndex(w, ix) }
 // Segments chops an in-order packet stream into sealed trace segments of the
 // given length in seconds (<= 0 selects the canonical batch boundary: one
 // unbounded segment sealed at end of stream), building each segment's index
-// with up to `workers` goroutines. It is the ingest substrate RunStream is
-// built on, exposed for callers that want sealed segments without the
-// labeling stages.
-func Segments(ctx context.Context, packets <-chan Packet, seconds float64, workers int) iter.Seq2[*Segment, error] {
-	return trace.Segments(ctx, packets, seconds, workers)
+// as its packets arrive. It is the ingest substrate RunStream is built on,
+// exposed for callers that want sealed segments without the labeling
+// stages.
+func Segments(ctx context.Context, packets <-chan Packet, seconds float64) iter.Seq2[*Segment, error] {
+	return trace.Segments(ctx, packets, seconds)
 }
 
 // SealTrace wraps a materialized trace as the canonical single sealed
 // segment — the batch boundary Run chops at.
-func SealTrace(ctx context.Context, tr *Trace, workers int) (*Segment, error) {
-	return trace.SealTrace(ctx, tr, workers)
+func SealTrace(ctx context.Context, tr *Trace) (*Segment, error) {
+	return trace.SealTrace(ctx, tr)
 }
 
 // Pipeline is the ready-to-use MAWILab labeling pipeline.
@@ -207,9 +207,10 @@ type Pipeline struct {
 	// 0.2, the paper's s = 20%).
 	RuleSupport float64
 	// Workers bounds the goroutines used by the parallel pipeline
-	// stages (detector fan-out, the sharded similarity-graph build,
-	// Louvain community mining and community labeling). 0 or 1 selects
-	// the exact sequential reference path; any value produces
+	// stages (detector fan-out, per-alarm traffic extraction, the sharded
+	// similarity-graph build and community labeling). Index builds and
+	// Louvain community mining are sequential at every setting. 0 or 1
+	// selects the exact sequential reference path; any value produces
 	// byte-identical output — see Parallelism.
 	Workers int
 	// Stream configures the segmented ingest used by RunStream. The zero
@@ -351,11 +352,12 @@ func (c StreamConfig) stride() int {
 // Parallelism sets the pipeline's worker count and returns p for chaining.
 // n <= 0 selects runtime.GOMAXPROCS(0); n == 1 is the sequential reference
 // path. The four detectors and their per-configuration runs, the similarity
-// estimator (sharded graph build plus Louvain's partition-parallel local
-// moving) and the per-community labeling are dispatched across a bounded
-// worker pool, and their outputs are merged in a fixed (detector, config,
-// slot) order — or, for Louvain, committed by a sequential index-ordered
-// pass — so the labeling is byte-identical at every worker count.
+// estimator's per-alarm extraction and sharded graph build, and the
+// per-community labeling are dispatched across a bounded worker pool, and
+// their outputs are merged in a fixed (detector, config, slot) order, so
+// the labeling is byte-identical at every worker count. Index builds and
+// Louvain stay sequential: their parallel versions measured slower than
+// the sequential ones.
 func (p *Pipeline) Parallelism(n int) *Pipeline {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -405,7 +407,7 @@ func (p *Pipeline) Run(tr *Trace) (*Labeling, error) {
 // community-labeling stage stop scheduling new work once ctx is cancelled.
 // It is a thin adapter over the streaming engine: the materialized trace is
 // chopped at the canonical batch boundary — one sealed segment spanning the
-// whole trace, indexed exactly once on the pipeline's worker pool — and
+// whole trace, indexed exactly once — and
 // replayed through the same per-segment detect → per-window
 // estimate/combine/label path RunStream uses, as a single one-segment
 // window. Batch and stream therefore share one engine, and a stream chopped
@@ -414,7 +416,7 @@ func (p *Pipeline) RunContext(ctx context.Context, tr *Trace) (*Labeling, error)
 	var seg *Segment
 	err := p.observe(StageIngest, func() error {
 		var err error
-		seg, err = trace.SealTrace(ctx, tr, p.workers())
+		seg, err = trace.SealTrace(ctx, tr)
 		return err
 	})
 	if err != nil {
@@ -514,7 +516,7 @@ func (s *Stream) Err() error {
 
 // RunStream executes the pipeline over an unbounded, timestamp-sorted
 // packet stream, the production ingest path: packets accumulate in an open
-// segment, each segment seals (and builds its index on the worker pool)
+// segment, each segment seals (finishing the index built as packets arrived)
 // when the stream crosses a p.Stream.SegmentSeconds grid boundary, the
 // detector ensemble runs per sealed segment, and the similarity estimator,
 // combiner and labeler run over a sliding window of the last
@@ -537,7 +539,7 @@ func (p *Pipeline) RunStream(ctx context.Context, packets <-chan Packet) *Stream
 	go func() { //mawilint:allow baregoroutine — RunStream's single structured producer: window order is fixed by the channel FIFO, lifecycle by s.done and ctx
 		defer close(s.done)
 		defer close(s.windows)
-		segs := trace.Segments(ctx, packets, p.Stream.SegmentSeconds, p.workers())
+		segs := trace.Segments(ctx, packets, p.Stream.SegmentSeconds)
 		s.err = p.runSegments(ctx, segs, p.Stream.window(), p.Stream.stride(), func(w *WindowLabeling) error {
 			select {
 			case s.windows <- w:
@@ -615,7 +617,7 @@ func (p *Pipeline) runSegments(ctx context.Context, segs iter.Seq2[*Segment, err
 // segments. A one-segment window reuses the segment's trace and index
 // as-is — the canonical batch window is exactly the old whole-day path — a
 // multi-segment window concatenates the segments' packets (already in
-// stream order) and builds the window index on the pool.
+// stream order) and builds the window index with BuildIndex.
 func (p *Pipeline) labelWindow(ctx context.Context, wi int, runs []segmentRun, totals map[string]int) (*WindowLabeling, error) {
 	first, last := runs[0].seg, runs[len(runs)-1].seg
 	wtr, ix := first.Trace, first.Index
@@ -630,7 +632,7 @@ func (p *Pipeline) labelWindow(ctx context.Context, wi int, runs []segmentRun, t
 		}
 		if err := p.observe(StageIngest, func() error {
 			var err error
-			ix, err = trace.BuildIndex(ctx, wtr, p.workers())
+			ix, err = trace.BuildIndex(ctx, wtr, 1)
 			return err
 		}); err != nil {
 			return nil, err
@@ -663,7 +665,7 @@ func (p *Pipeline) RunAlarms(tr *Trace, alarms []Alarm, totals map[string]int) (
 // batch adapters it seals the trace as the canonical segment and resolves
 // the alarms against that segment's index.
 func (p *Pipeline) RunAlarmsContext(ctx context.Context, tr *Trace, alarms []Alarm, totals map[string]int) (*Labeling, error) {
-	seg, err := trace.SealTrace(ctx, tr, p.workers())
+	seg, err := trace.SealTrace(ctx, tr)
 	if err != nil {
 		return nil, err
 	}

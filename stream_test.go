@@ -160,7 +160,7 @@ func TestStreamWindowSemantics(t *testing.T) {
 
 	// Count the sealed segments the same chop produces.
 	nsegs := 0
-	for seg, err := range Segments(context.Background(), replay(day), 5, 1) {
+	for seg, err := range Segments(context.Background(), replay(day), 5) {
 		if err != nil {
 			t.Fatal(err)
 		}

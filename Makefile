@@ -61,7 +61,7 @@ test:
 # tests), every internal package where the concurrency lives — trace
 # (segment sealing + index builds), mawigen (windowed background
 # generation + injection fan-out), parallel (the pool itself), simgraph
-# (keyed-shard similarity graph),
+# (similarity-graph pair counting, sharded by traffic-id residue),
 # serve (the daemon's engine admission/drain paths, lock-free histograms
 # and graceful-shutdown tests) — plus the cmd binaries' black-box tests
 # (mawilabd's serve smoke spawns the real daemon) and examples. ./... so
@@ -135,13 +135,15 @@ lint:
 
 # Short fuzzing smoke over the committed seed corpora plus FUZZTIME of fresh
 # exploration per target: the IPv4 parser invariants, the pcap write→read
-# round trip, and the fused-vs-reference ingest differential. A crash writes
+# round trip, the fused-vs-reference ingest differential, and the
+# similarity graph against its quadratic reference. A crash writes
 # its reproducer into the package's testdata/fuzz corpus — commit it with
 # the fix.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeIndex$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/simgraph -run '^$$' -fuzz '^FuzzBuildMatchesNaive$$' -fuzztime $(FUZZTIME)
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served

@@ -436,13 +436,14 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityGraph times the sharded similarity-graph build
-// (internal/simgraph) alone — inverted index, pair intersection and edge
-// weighting — on the full bench-trace detector ensemble, at several
-// worker-pool sizes. workers=1 is the sequential reference path and the
-// graph is byte-identical across sub-benches (TestBuildDeterminismAcross-
-// Workers), so the ns/op ratio is the pure sharding speedup the CI bench
-// gate tracks.
+// BenchmarkSimilarityGraph times the similarity-graph build
+// (internal/simgraph) alone — CSR inverted index, pair counting sharded by
+// traffic-id residue, and edge weighting — on the full bench-trace
+// detector ensemble's uniflow sets, at several worker-pool sizes. The build
+// runs one code path at every worker count (workers=1 runs it inline) and
+// the graph is byte-identical across sub-benches (TestBuildDeterminism-
+// AcrossWorkers), so the ns/op ratio is the pure sharding speedup the CI
+// bench gate tracks.
 func BenchmarkSimilarityGraph(b *testing.B) {
 	b.ReportAllocs()
 	ix := benchIndex(b)

@@ -122,12 +122,14 @@ func (r *Result) Index() *trace.Index { return r.extractor.Index() }
 // into communities — resolving all traffic against the shared trace.Index
 // the caller already holds (a sealed segment's, a streaming window's, or
 // trace.SealTrace's canonical whole-trace index; the same index the
-// detector fan-out consumed, built once per trace). The per-alarm traffic
-// extraction, the similarity-graph build (sharded in internal/simgraph) and
-// the per-community traffic unions fan out across up to `workers`
-// goroutines (<= 1 runs inline); Louvain community mining is sequential
-// (see graphx.LouvainContext). The result is identical at every worker
-// count.
+// detector fan-out consumed, built once per trace). Each alarm's traffic
+// set is a sorted slice of positions in that index (see TrafficSet.IDs),
+// which simgraph inverts without hashing. The per-alarm traffic
+// extraction, the similarity graph's pair counting (sharded by traffic-id
+// residue in internal/simgraph) and the per-community traffic unions fan
+// out across up to `workers` goroutines (<= 1 runs inline); Louvain
+// community mining is sequential (see graphx.LouvainContext). The result is
+// identical at every worker count.
 func EstimateContext(ctx context.Context, ix *trace.Index, alarms []Alarm, cfg EstimatorConfig, workers int) (*Result, error) {
 	if cfg.MinSimilarity < 0 || cfg.MinSimilarity > 1 {
 		return nil, fmt.Errorf("core: MinSimilarity %f out of [0,1]", cfg.MinSimilarity)

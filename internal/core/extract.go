@@ -1,18 +1,23 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
+	"mawilab/internal/simgraph"
 	"mawilab/internal/trace"
 )
 
 // TrafficSet is the traffic designated by one alarm at a given granularity
-// (§2.1.1): a set of opaque traffic-unit ids used for similarity, plus
-// references back to the matched flows/packets for labeling.
+// (§2.1.1): the traffic-unit ids used for similarity, plus references back
+// to the matched flows/packets for labeling.
 type TrafficSet struct {
-	// IDs identify the traffic units: packet indices (GranPacket), directed
-	// flow hashes (GranUniFlow) or canonical flow hashes (GranBiFlow).
-	IDs map[uint64]struct{}
+	// IDs identify the traffic units as positions in the shared index,
+	// ascending and duplicate-free: the packet indices (GranPacket, the same
+	// slice as PacketIdx), the flow-table ids (GranUniFlow, the same slice
+	// as FlowRefs) or, per conversation, the smaller flow-table id of the
+	// flow and its reverse (GranBiFlow). Distinct traffic units never share
+	// an id.
+	IDs simgraph.Set
 	// FlowRefs are indices into the shared flow table for every matched
 	// unidirectional flow, sorted ascending.
 	FlowRefs []int
@@ -47,80 +52,77 @@ func (e *Extractor) Granularity() trace.Granularity { return e.gran }
 // Index returns the shared trace index the extractor resolves against.
 func (e *Extractor) Index() *trace.Index { return e.ix }
 
-// Flows returns the number of distinct unidirectional flows indexed.
-func (e *Extractor) Flows() int { return e.ix.Flows() }
-
 // FlowKey returns the flow key at table index i.
 func (e *Extractor) FlowKey(i int) trace.FlowKey { return e.ix.Flow(i) }
-
-// FlowPackets returns the packet indices of flow table entry i, ascending.
-// The slice aliases the index and must not be mutated.
-func (e *Extractor) FlowPackets(i int) []int32 { return e.ix.FlowPackets(i) }
 
 // Extract resolves alarm a to its TrafficSet. Each filter visits its
 // posting-list candidates (ascending flow ids, a superset of the matching
 // flows), or the whole flow table when the filter constrains none of the
 // posted fields.
 func (e *Extractor) Extract(a *Alarm) *TrafficSet {
-	ts := &TrafficSet{IDs: make(map[uint64]struct{})}
-	flowSeen := make(map[int]struct{})
-	pktSeen := make(map[int]struct{})
+	ts := &TrafficSet{}
 	for _, f := range a.Filters {
 		if candidates, ok := e.ix.CandidateFlows(f); ok {
 			for _, fi := range candidates {
-				e.matchFlow(f, int(fi), ts, flowSeen, pktSeen)
+				e.matchFlow(f, int(fi), ts)
 			}
 		} else {
 			for fi := 0; fi < e.ix.Flows(); fi++ {
-				e.matchFlow(f, fi, ts, flowSeen, pktSeen)
+				e.matchFlow(f, fi, ts)
 			}
 		}
 	}
-	ts.FlowRefs = sortedKeys(flowSeen)
-	if e.gran == trace.GranPacket {
-		ts.PacketIdx = sortedKeys(pktSeen)
-	}
+	e.finish(ts)
 	return ts
 }
 
-// matchFlow folds flow fi into the traffic set if it satisfies filter f.
-func (e *Extractor) matchFlow(f trace.Filter, fi int, ts *TrafficSet, flowSeen, pktSeen map[int]struct{}) {
-	k := e.ix.Flow(fi)
-	if !f.MatchFlow(k) {
+// matchFlow appends flow fi, and at GranPacket its packets inside the
+// filter's interval, to the traffic set if it satisfies filter f. The
+// slices collect duplicates across filters; finish sorts and compacts them.
+func (e *Extractor) matchFlow(f trace.Filter, fi int, ts *TrafficSet) {
+	if !f.MatchFlow(e.ix.Flow(fi)) {
 		return
 	}
-	switch e.gran {
-	case trace.GranPacket:
-		for _, pi32 := range e.ix.FlowPackets(fi) {
-			pi := int(pi32)
-			if f.TimeBounded() {
-				sec := e.ix.Seconds[pi]
-				if sec < f.From || sec >= f.To {
-					continue
-				}
-			}
-			if _, ok := pktSeen[pi]; ok {
+	if e.gran != trace.GranPacket {
+		if !f.TimeBounded() || e.anyPacketIn(fi, f.From, f.To) {
+			ts.FlowRefs = append(ts.FlowRefs, fi)
+		}
+		return
+	}
+	n := len(ts.PacketIdx)
+	for _, pi := range e.ix.FlowPackets(fi) {
+		if f.TimeBounded() {
+			sec := e.ix.Seconds[pi]
+			if sec < f.From || sec >= f.To {
 				continue
 			}
-			pktSeen[pi] = struct{}{}
-			ts.IDs[uint64(pi)] = struct{}{}
-			if _, ok := flowSeen[fi]; !ok {
-				flowSeen[fi] = struct{}{}
+		}
+		ts.PacketIdx = append(ts.PacketIdx, int(pi))
+	}
+	if len(ts.PacketIdx) > n {
+		ts.FlowRefs = append(ts.FlowRefs, fi)
+	}
+}
+
+// finish turns the collected flow and packet references into ascending,
+// duplicate-free sets and derives the traffic-unit ids of the granularity.
+func (e *Extractor) finish(ts *TrafficSet) {
+	ts.FlowRefs = sortedSet(ts.FlowRefs)
+	switch e.gran {
+	case trace.GranPacket:
+		ts.PacketIdx = sortedSet(ts.PacketIdx)
+		ts.IDs = ts.PacketIdx
+	case trace.GranUniFlow:
+		ts.IDs = ts.FlowRefs
+	default:
+		ids := make([]int, len(ts.FlowRefs))
+		for i, fi := range ts.FlowRefs {
+			ids[i] = fi
+			if rev, ok := e.ix.FlowID(e.ix.Flow(fi).Reverse()); ok && rev < fi {
+				ids[i] = rev
 			}
 		}
-	default:
-		if f.TimeBounded() && !e.anyPacketIn(fi, f.From, f.To) {
-			return
-		}
-		if _, ok := flowSeen[fi]; ok {
-			return
-		}
-		flowSeen[fi] = struct{}{}
-		if e.gran == trace.GranUniFlow {
-			ts.IDs[k.DirectedHash()] = struct{}{}
-		} else {
-			ts.IDs[k.Canonical().FastHash()] = struct{}{}
-		}
+		ts.IDs = sortedSet(ids)
 	}
 }
 
@@ -135,13 +137,10 @@ func (e *Extractor) anyPacketIn(fi int, from, to float64) bool {
 	return false
 }
 
-func sortedKeys(m map[int]struct{}) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+// sortedSet sorts s ascending and drops duplicates in place.
+func sortedSet(s []int) []int {
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // CommunityTraffic is the union of member alarms' traffic, materialized for
@@ -155,32 +154,28 @@ type CommunityTraffic struct {
 // At flow granularities the packets are all packets of the matched flows;
 // at packet granularity they are exactly the matched packets.
 func (e *Extractor) Union(sets []*TrafficSet) CommunityTraffic {
-	flowSeen := make(map[int]struct{})
+	var flowRefs []int
 	for _, ts := range sets {
-		for _, fi := range ts.FlowRefs {
-			flowSeen[fi] = struct{}{}
-		}
+		flowRefs = append(flowRefs, ts.FlowRefs...)
 	}
-	flowRefs := sortedKeys(flowSeen)
+	flowRefs = sortedSet(flowRefs)
 	ct := CommunityTraffic{Flows: make([]trace.FlowKey, len(flowRefs))}
 	for i, fi := range flowRefs {
 		ct.Flows[i] = e.ix.Flow(fi)
 	}
 	if e.gran == trace.GranPacket {
-		pktSeen := make(map[int]struct{})
+		var pkts []int
 		for _, ts := range sets {
-			for _, pi := range ts.PacketIdx {
-				pktSeen[pi] = struct{}{}
-			}
+			pkts = append(pkts, ts.PacketIdx...)
 		}
-		ct.Packets = sortedKeys(pktSeen)
+		ct.Packets = sortedSet(pkts)
 	} else {
 		for _, fi := range flowRefs {
 			for _, pi := range e.ix.FlowPackets(fi) {
 				ct.Packets = append(ct.Packets, int(pi))
 			}
 		}
-		sort.Ints(ct.Packets)
+		slices.Sort(ct.Packets)
 	}
 	return ct
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mawilab/internal/trace"
@@ -67,8 +68,8 @@ func TestExtractFlowGranularityFig1(t *testing.T) {
 
 func intersect(a, b *TrafficSet) int {
 	n := 0
-	for id := range a.IDs {
-		if _, ok := b.IDs[id]; ok {
+	for _, id := range a.IDs {
+		if slices.Contains(b.IDs, id) {
 			n++
 		}
 	}
@@ -78,20 +79,40 @@ func intersect(a, b *TrafficSet) int {
 func TestBiflowMergesDirections(t *testing.T) {
 	src := trace.MakeIPv4(1, 1, 1, 1)
 	dst := trace.MakeIPv4(2, 2, 2, 2)
+	other := trace.MakeIPv4(3, 3, 3, 3)
 	tr := &trace.Trace{}
 	tr.Append(trace.Packet{TS: 0, Src: src, Dst: dst, SrcPort: 1000, DstPort: 80, Proto: trace.TCP})
 	tr.Append(trace.Packet{TS: 1e6, Src: dst, Dst: src, SrcPort: 80, DstPort: 1000, Proto: trace.TCP})
+	// A one-way flow out of dst: it has no reverse in the trace.
+	tr.Append(trace.Packet{TS: 2e6, Src: dst, Dst: other, SrcPort: 5000, DstPort: 53, Proto: trace.UDP})
 
 	fwd := Alarm{Detector: "A", Filters: []trace.Filter{trace.NewFilter().WithSrc(src)}}
-	rev := Alarm{Detector: "B", Filters: []trace.Filter{trace.NewFilter().WithSrc(dst)}}
+	rev := Alarm{Detector: "B", Filters: []trace.Filter{trace.NewFilter().WithSrc(dst).WithDstPort(1000)}}
+	oneWay := Alarm{Detector: "C", Filters: []trace.Filter{trace.NewFilter().WithDst(other)}}
 
-	uni := NewExtractor(trace.NewIndex(tr), trace.GranUniFlow)
+	ix := trace.NewIndex(tr)
+	uni := NewExtractor(ix, trace.GranUniFlow)
 	if n := intersect(uni.Extract(&fwd), uni.Extract(&rev)); n != 0 {
 		t.Errorf("uniflow intersect = %d, want 0 (directions distinct)", n)
 	}
-	bi := NewExtractor(trace.NewIndex(tr), trace.GranBiFlow)
+	bi := NewExtractor(ix, trace.GranBiFlow)
 	if n := intersect(bi.Extract(&fwd), bi.Extract(&rev)); n != 1 {
 		t.Errorf("biflow intersect = %d, want 1 (directions merge)", n)
+	}
+	// The conversation's id is the smaller flow-table id of its two
+	// directions; the one-way flow keeps its own id.
+	fwdID, _ := ix.FlowID(tr.Packets[0].Flow())
+	revID, _ := ix.FlowID(tr.Packets[1].Flow())
+	if got := bi.Extract(&rev).IDs; !slices.Equal(got, []int{min(fwdID, revID)}) {
+		t.Errorf("biflow ids of the reverse direction = %v, want [%d]", got, min(fwdID, revID))
+	}
+	oneWayID, _ := ix.FlowID(tr.Packets[2].Flow())
+	if got := bi.Extract(&oneWay).IDs; !slices.Equal(got, []int{oneWayID}) {
+		t.Errorf("biflow ids of a flow with no reverse = %v, want its own id [%d]", got, oneWayID)
+	}
+	both := Alarm{Detector: "D", Filters: []trace.Filter{trace.NewFilter().WithProto(trace.TCP)}}
+	if ts := bi.Extract(&both); ts.Size() != 1 || len(ts.FlowRefs) != 2 {
+		t.Errorf("both directions: %d biflow ids over %d flows, want 1 over 2", ts.Size(), len(ts.FlowRefs))
 	}
 }
 
@@ -163,10 +184,10 @@ func TestExtractorAccessors(t *testing.T) {
 	if ext.Granularity() != trace.GranBiFlow {
 		t.Error("granularity accessor wrong")
 	}
-	if ext.Flows() != 1 {
-		t.Errorf("flows = %d, want 1", ext.Flows())
+	if ext.Index().Flows() != 1 {
+		t.Errorf("flows = %d, want 1", ext.Index().Flows())
 	}
-	if got := ext.FlowPackets(0); len(got) != 10 {
+	if got := ext.Index().FlowPackets(0); len(got) != 10 {
 		t.Errorf("flow packets = %d", len(got))
 	}
 	k := ext.FlowKey(0)
@@ -262,24 +283,30 @@ func randomFilter(rng *rand.Rand, ix *trace.Index) trace.Filter {
 // extractScan is the reference extraction: every filter scans the whole
 // flow table through matchFlow, with no posting-list prefilter.
 func extractScan(e *Extractor, a *Alarm) *TrafficSet {
-	ts := &TrafficSet{IDs: make(map[uint64]struct{})}
-	flowSeen := make(map[int]struct{})
-	pktSeen := make(map[int]struct{})
+	ts := &TrafficSet{}
 	for _, f := range a.Filters {
 		for fi := 0; fi < e.ix.Flows(); fi++ {
-			e.matchFlow(f, fi, ts, flowSeen, pktSeen)
+			e.matchFlow(f, fi, ts)
 		}
 	}
-	ts.FlowRefs = sortedKeys(flowSeen)
-	if e.gran == trace.GranPacket {
-		ts.PacketIdx = sortedKeys(pktSeen)
-	}
+	e.finish(ts)
 	return ts
+}
+
+// strictlyAscending reports whether s is ascending without duplicates.
+func strictlyAscending(s []int) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestExtractIndexedMatchesScan pins the posting-list prefilter to the
 // full-table reference scan: over randomized multi-filter alarms at all
-// three granularities, both paths must produce identical traffic sets.
+// three granularities, both paths must produce identical traffic sets, and
+// IDs, FlowRefs and PacketIdx must be strictly ascending.
 func TestExtractIndexedMatchesScan(t *testing.T) {
 	tr := randomFilterTrace(23, 3000)
 	ix := trace.NewIndex(tr)
@@ -293,6 +320,11 @@ func TestExtractIndexedMatchesScan(t *testing.T) {
 			}
 			indexed := ext.Extract(&a)
 			scanned := extractScan(ext, &a)
+			for what, s := range map[string][]int{"IDs": indexed.IDs, "FlowRefs": indexed.FlowRefs, "PacketIdx": indexed.PacketIdx} {
+				if !strictlyAscending(s) {
+					t.Fatalf("%v alarm %d: %s not strictly ascending: %v", g, i, what, s)
+				}
+			}
 			if !reflect.DeepEqual(indexed.IDs, scanned.IDs) {
 				t.Fatalf("%v alarm %d: IDs differ (%d indexed vs %d scanned)",
 					g, i, len(indexed.IDs), len(scanned.IDs))

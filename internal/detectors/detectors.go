@@ -16,6 +16,7 @@ package detectors
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"mawilab/internal/core"
 	"mawilab/internal/parallel"
@@ -118,4 +119,28 @@ func CheckConfig(d Detector, config int) error {
 		return fmt.Errorf("detectors: %s: config %d out of [0,%d)", d.Name(), config, d.NumConfigs())
 	}
 	return nil
+}
+
+// TopHosts returns up to k hosts by descending packet count (ties broken
+// by address).
+func TopHosts(counts map[trace.IPv4]int, k int) []trace.IPv4 {
+	type hc struct {
+		h trace.IPv4
+		n int
+	}
+	all := make([]hc, 0, len(counts))
+	for h, n := range counts {
+		all = append(all, hc{h, n})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].n != all[j].n {
+			return all[i].n > all[j].n
+		}
+		return all[i].h < all[j].h
+	})
+	out := make([]trace.IPv4, min(k, len(all)))
+	for i := range out {
+		out[i] = all[i].h
+	}
+	return out
 }

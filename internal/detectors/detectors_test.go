@@ -3,6 +3,7 @@ package detectors
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"mawilab/internal/core"
@@ -78,5 +79,19 @@ func TestTuningString(t *testing.T) {
 	}
 	if int(NumTunings) != 3 {
 		t.Errorf("NumTunings = %d", NumTunings)
+	}
+}
+
+func TestTopHosts(t *testing.T) {
+	a, b, c := trace.MakeIPv4(10, 0, 0, 1), trace.MakeIPv4(10, 0, 0, 2), trace.MakeIPv4(10, 0, 0, 3)
+	counts := map[trace.IPv4]int{c: 5, b: 9, a: 5}
+	if got, want := TopHosts(counts, 2), []trace.IPv4{b, a}; !slices.Equal(got, want) {
+		t.Errorf("TopHosts(k=2) = %v, want %v (count descending, ties by address)", got, want)
+	}
+	if got := TopHosts(counts, 10); len(got) != 3 || got[2] != c {
+		t.Errorf("TopHosts(k=10) = %v, want all three hosts", got)
+	}
+	if got := TopHosts(nil, 3); len(got) != 0 {
+		t.Errorf("TopHosts(nil) = %v", got)
 	}
 }

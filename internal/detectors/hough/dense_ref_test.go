@@ -174,7 +174,7 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 		}
 		from := float64(minX) * d.TimeBin
 		to := float64(maxX+1) * d.TimeBin
-		for _, host := range topHosts(hostPkts, d.MaxFilters) {
+		for _, host := range detectors.TopHosts(hostPkts, d.MaxFilters) {
 			f := trace.NewFilter().WithInterval(from, to)
 			if dstPlane {
 				f = f.WithDst(host)

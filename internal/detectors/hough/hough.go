@@ -308,7 +308,7 @@ func (d *Detector) detectPlane(ix *trace.Index, config int, tn tuning, cols int,
 		}
 		from := float64(minX) * d.TimeBin
 		to := float64(maxX+1) * d.TimeBin
-		for _, host := range topHosts(hostPkts, d.MaxFilters) {
+		for _, host := range detectors.TopHosts(hostPkts, d.MaxFilters) {
 			f := trace.NewFilter().WithInterval(from, to)
 			if dstPlane {
 				f = f.WithDst(host)
@@ -358,33 +358,6 @@ func dominantPort(ports map[uint16]int) (uint16, float64) {
 		return 0, 0
 	}
 	return best, float64(bestN) / float64(total)
-}
-
-// topHosts returns up to k hosts by descending packet count (ties broken
-// by address).
-func topHosts(counts map[trace.IPv4]int, k int) []trace.IPv4 {
-	type hc struct {
-		h trace.IPv4
-		n int
-	}
-	all := make([]hc, 0, len(counts))
-	for h, n := range counts {
-		all = append(all, hc{h, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].h < all[j].h
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]trace.IPv4, k)
-	for i := range out {
-		out[i] = all[i].h
-	}
-	return out
 }
 
 func boolToInt(b bool) int {

@@ -115,7 +115,7 @@ func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 					counts[ix.Src[pi]]++
 				}
 			}
-			for _, h := range topHosts(counts, 3) {
+			for _, h := range detectors.TopHosts(counts, 3) {
 				votes[hostBin{h, at.bin}]++
 			}
 		}
@@ -248,31 +248,6 @@ func standardizeColumns(m *linalg.Matrix) {
 			m.Set(i, j, m.At(i, j)*inv)
 		}
 	}
-}
-
-func topHosts(counts map[trace.IPv4]int, k int) []trace.IPv4 {
-	type hc struct {
-		h trace.IPv4
-		n int
-	}
-	all := make([]hc, 0, len(counts))
-	for h, n := range counts {
-		all = append(all, hc{h, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].h < all[j].h
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]trace.IPv4, k)
-	for i := range out {
-		out[i] = all[i].h
-	}
-	return out
 }
 
 // mergeBins merges sorted time-bin indices into contiguous [first,last]

@@ -20,10 +20,10 @@ import (
 // DefaultWorkers returns the default pool size: runtime.GOMAXPROCS(0).
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Clamp normalizes a requested worker count for n work items: non-positive
+// clamp normalizes a requested worker count for n work items: non-positive
 // counts become DefaultWorkers(), and the result never exceeds n (so pools
 // do not spawn idle goroutines).
-func Clamp(workers, n int) int {
+func clamp(workers, n int) int {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
@@ -118,7 +118,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers = Clamp(workers, n)
+	workers = clamp(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -166,10 +166,10 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	return poolErr
 }
 
-// Shards is the keyed-shard fan-out: it normalizes `workers` with Clamp and
+// Shards is the keyed-shard fan-out: it normalizes `workers` with clamp and
 // runs fn(ctx, shard, shards) once per shard in [0, shards), one shard per
 // worker, gathering the per-shard results in shard order. fn must partition
-// its input by key — e.g. own exactly the keys with hash(key) % shards ==
+// its input by key — e.g. own exactly the integer keys with key % shards ==
 // shard — so shards never share writes and need no locks. workers == 1 runs
 // the single shard inline: the sequential reference path. Error semantics
 // match ForEach.
@@ -178,14 +178,14 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 // results must be order-insensitive (integer sums, set unions, ...) so the
 // merged output is identical at every worker count.
 func Shards[T any](ctx context.Context, workers int, fn func(ctx context.Context, shard, shards int) (T, error)) ([]T, error) {
-	shards := Clamp(workers, 0)
+	shards := clamp(workers, 0)
 	return Map(ctx, shards, shards, func(ctx context.Context, i int) (T, error) {
 		return fn(ctx, i, shards)
 	})
 }
 
 // ForEachRange splits [0, n) into one contiguous chunk per worker (after
-// Clamp) and runs fn(ctx, lo, hi) once per non-empty chunk, one chunk per
+// clamp) and runs fn(ctx, lo, hi) once per non-empty chunk, one chunk per
 // goroutine. It is the fan-out for stages whose writes are index-addressed
 // slots: contiguous ranges keep the writes cache-friendly and the chunk
 // boundaries cannot affect the result, so the output is identical at every
@@ -195,7 +195,7 @@ func ForEachRange(ctx context.Context, n, workers int, fn func(ctx context.Conte
 	if n <= 0 {
 		return ctx.Err()
 	}
-	chunks := Clamp(workers, n)
+	chunks := clamp(workers, n)
 	return ForEach(ctx, chunks, chunks, func(ctx context.Context, c int) error {
 		return fn(ctx, c*n/chunks, (c+1)*n/chunks)
 	})

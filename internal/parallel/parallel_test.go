@@ -11,17 +11,17 @@ import (
 )
 
 func TestClamp(t *testing.T) {
-	if got := Clamp(0, 100); got != DefaultWorkers() {
-		t.Errorf("Clamp(0, 100) = %d, want DefaultWorkers %d", got, DefaultWorkers())
+	if got := clamp(0, 100); got != DefaultWorkers() {
+		t.Errorf("clamp(0, 100) = %d, want DefaultWorkers %d", got, DefaultWorkers())
 	}
-	if got := Clamp(-3, 100); got != DefaultWorkers() {
-		t.Errorf("Clamp(-3, 100) = %d, want DefaultWorkers %d", got, DefaultWorkers())
+	if got := clamp(-3, 100); got != DefaultWorkers() {
+		t.Errorf("clamp(-3, 100) = %d, want DefaultWorkers %d", got, DefaultWorkers())
 	}
-	if got := Clamp(8, 3); got != 3 {
-		t.Errorf("Clamp(8, 3) = %d, want 3", got)
+	if got := clamp(8, 3); got != 3 {
+		t.Errorf("clamp(8, 3) = %d, want 3", got)
 	}
-	if got := Clamp(2, 100); got != 2 {
-		t.Errorf("Clamp(2, 100) = %d, want 2", got)
+	if got := clamp(2, 100); got != 2 {
+		t.Errorf("clamp(2, 100) = %d, want 2", got)
 	}
 }
 
@@ -321,8 +321,8 @@ func TestShardsPartitionCoversEveryKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(parts) != Clamp(workers, 0) {
-			t.Fatalf("workers=%d: %d shard results, want %d", workers, len(parts), Clamp(workers, 0))
+		if len(parts) != clamp(workers, 0) {
+			t.Fatalf("workers=%d: %d shard results, want %d", workers, len(parts), clamp(workers, 0))
 		}
 		seen := make(map[int]int)
 		for _, part := range parts {

@@ -1,21 +1,20 @@
 // Package simgraph builds the alarm-similarity graph of §2.1.2: given each
-// alarm's set of opaque traffic-unit ids, it weights every pair of alarms
-// with intersecting traffic (Simpson / Jaccard / Constant) and assembles the
+// alarm's set of traffic-unit ids, it weights every pair of alarms with
+// intersecting traffic (Simpson / Jaccard / Constant) and assembles the
 // weighted graph that community mining runs on.
 //
-// The build is sharded across the bounded worker pool in internal/parallel
-// while keeping the output byte-identical at every worker count:
+// One code path runs at every worker count, and its output is
+// byte-identical at every worker count:
 //
-//  1. bucket (parallel over alarms): each alarm's ids are partitioned into
-//     per-shard buckets by hashing the id, written into slots indexed by the
-//     alarm — no shared writes;
-//  2. intersect (parallel over shards): each shard owns a disjoint id
-//     subspace, builds its own inverted index (id → owning alarms, ascending
-//     because alarms are scanned in index order) and counts co-occurring
-//     pairs into a private map;
+//  1. index (sequential): the sets become a flat CSR (compressed sparse
+//     row) inverted index over the dense id space — for every id, the
+//     ascending list of alarms whose set holds it;
+//  2. count (one shard per worker, parallel.Shards): shard s owns the ids
+//     u with u % shards == s and counts the alarm pairs co-occurring on
+//     them into a private map;
 //  3. merge + sort (sequential): per-shard pair counts are summed — integer
-//     addition, so the merged multiset is independent of shard count — and
-//     the pairs sorted into the one canonical order;
+//     addition, so the merged counts are independent of the shard count —
+//     and the pairs sorted into the one canonical order;
 //  4. weigh (parallel over contiguous pair ranges): edge weights are
 //     computed into slots aligned with the sorted pairs;
 //  5. insert (sequential): edges at or above MinSimilarity are inserted in
@@ -23,8 +22,7 @@
 //     and therefore Louvain's modularity comparisons downstream — never
 //     depends on the worker count.
 //
-// Workers == 1 runs every stage inline on the calling goroutine: the exact
-// sequential reference path.
+// Workers == 1 runs every stage inline on the calling goroutine.
 package simgraph
 
 import (
@@ -65,9 +63,11 @@ func (m Measure) String() string {
 	}
 }
 
-// Set is one alarm's traffic: a set of opaque traffic-unit ids (packet
-// indices or flow hashes, depending on granularity).
-type Set = map[uint64]struct{}
+// Set is one alarm's traffic: ascending, duplicate-free, non-negative
+// traffic-unit ids — positions in the shared trace index (packet indices or
+// flow-table ids, depending on granularity). The ids should be dense: the
+// inverted index spans [0, largest id].
+type Set = []int
 
 // Config parameterizes the similarity-graph build.
 type Config struct {
@@ -78,8 +78,8 @@ type Config struct {
 	// its weight is >= MinSimilarity and > 0; zero keeps every intersecting
 	// pair.
 	MinSimilarity float64
-	// Workers bounds the shard fan-out; <= 0 uses every core, 1 is the
-	// sequential reference path. The graph is identical at every setting.
+	// Workers bounds the shard fan-out; <= 0 uses every core, 1 runs
+	// inline. The graph is identical at every setting.
 	Workers int
 }
 
@@ -94,7 +94,9 @@ func (p pair) unpack() (a, b int) { return int(p >> 32), int(uint32(p)) }
 
 // Build constructs the similarity graph over len(sets) alarms: node i is
 // alarm i, and intersecting alarms are connected with the configured
-// similarity weight. The result is byte-identical at every Config.Workers.
+// similarity weight. Every set must be ascending, duplicate-free and
+// non-negative (see Set). The result is byte-identical at every
+// Config.Workers.
 func Build(ctx context.Context, sets []Set, cfg Config) (*graphx.Graph, error) {
 	if cfg.MinSimilarity < 0 || cfg.MinSimilarity > 1 {
 		return nil, fmt.Errorf("simgraph: MinSimilarity %f out of [0,1]", cfg.MinSimilarity)
@@ -128,65 +130,57 @@ func Build(ctx context.Context, sets []Set, cfg Config) (*graphx.Graph, error) {
 }
 
 // intersections returns every alarm pair with intersecting traffic and the
-// intersection cardinality, in sorted pair order. The inverted-index build
-// and the pair counting are sharded by hashing traffic ids into disjoint
-// per-worker id subspaces; the shard maps are then summed, which is exact
+// intersection cardinality, in sorted pair order. The pair counting is
+// sharded by id residue; the shard maps are then summed, which is exact
 // integer arithmetic, so the result is independent of the shard count.
 func intersections(ctx context.Context, sets []Set, workers int) ([]pair, []int, error) {
-	// Resolved once and passed explicitly below: Clamp(n, 0) with n > 0 is
-	// the identity, so stage 1's bucket layout and stage 2's fan-out always
-	// agree even if GOMAXPROCS (the workers <= 0 default) changes mid-build.
-	nshards := parallel.Clamp(workers, 0)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	// Stage 1: CSR inverted index. off[u] first counts id u's owners, the
+	// prefix sums turn it into the end of u's run in owners, and filling
+	// the runs back to front — alarms in descending order — leaves off[u]
+	// at the start of the run with every run ascending.
+	universe, total := 0, 0
+	for _, s := range sets {
+		if len(s) > 0 {
+			universe = max(universe, s[len(s)-1]+1)
+		}
+		total += len(s)
+	}
+	off := make([]int, universe+1)
+	for _, s := range sets {
+		for _, u := range s {
+			off[u]++
+		}
+	}
+	for u := 1; u <= universe; u++ {
+		off[u] += off[u-1]
+	}
+	owners := make([]int32, total)
+	for i := len(sets) - 1; i >= 0; i-- {
+		for _, u := range sets[i] {
+			off[u]--
+			owners[off[u]] = int32(i)
+		}
+	}
 
-	var shardCounts []map[pair]int
-	if nshards == 1 {
-		// Sequential reference path: one inverted index straight off the
-		// sets, no per-shard id copies kept alive.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		owners := make(map[uint64][]int32)
-		for i, s := range sets {
-			for id := range s {
-				owners[id] = append(owners[id], int32(i)) //mawilint:allow maprange — each id occurs once per set, so every owner list collects i in ascending set order whatever the iteration order
-			}
-		}
-		shardCounts = []map[pair]int{countPairs(owners)}
-	} else {
-		// Stage 1: bucket each set's ids by owning shard. Parallel over
-		// sets, slot-ordered; the id order inside a bucket is map-iteration
-		// order and deliberately does not matter (see stage 2).
-		buckets := make([][][]uint64, len(sets))
-		err := parallel.ForEach(ctx, len(sets), nshards, func(_ context.Context, i int) error {
-			b := make([][]uint64, nshards)
-			for id := range sets[i] {
-				s := shardOf(id, nshards)
-				b[s] = append(b[s], id) //mawilint:allow maprange — bucket-internal order is discarded: stage 2 counts ids into per-shard maps and merges in sorted-pair order
-			}
-			buckets[i] = b
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-
-		// Stage 2: per-shard inverted index and pair counts. Scanning
-		// alarms in index order keeps every owner list ascending, exactly
-		// as the sequential build produced it; the id order within a bucket
-		// only permutes which owner list is extended first, and the counts
-		// are integers, so the shard's pair map is deterministic as a set.
-		shardCounts, err = parallel.Shards(ctx, nshards, func(_ context.Context, shard, _ int) (map[pair]int, error) {
-			owners := make(map[uint64][]int32)
-			for i := range buckets {
-				for _, id := range buckets[i][shard] {
-					owners[id] = append(owners[id], int32(i))
+	// Stage 2: per-shard pair counts. Owner runs are ascending, so
+	// packPair's a < b invariant holds without a swap.
+	shardCounts, err := parallel.Shards(ctx, workers, func(_ context.Context, shard, shards int) (map[pair]int, error) {
+		inter := make(map[pair]int)
+		for u := shard; u < universe; u += shards {
+			run := owners[off[u]:off[u+1]]
+			for x, a := range run {
+				for _, b := range run[x+1:] {
+					inter[packPair(a, b)]++
 				}
 			}
-			return countPairs(owners), nil
-		})
-		if err != nil {
-			return nil, nil, err
 		}
+		return inter, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Stage 3: merge (integer sums — shard-count invariant) and sort into
@@ -208,21 +202,6 @@ func intersections(ctx context.Context, sets []Set, workers int) ([]pair, []int,
 		counts[i] = merged[pr]
 	}
 	return pairs, counts, nil
-}
-
-// countPairs counts the co-occurring alarm pairs of one inverted index.
-// Owner lists are ascending (alarms are always scanned in index order), so
-// packPair's a < b invariant holds without a swap.
-func countPairs(owners map[uint64][]int32) map[pair]int {
-	inter := make(map[pair]int)
-	for _, list := range owners {
-		for x := 0; x < len(list); x++ {
-			for y := x + 1; y < len(list); y++ {
-				inter[packPair(list[x], list[y])]++
-			}
-		}
-	}
-	return inter
 }
 
 // weigh computes the similarity weight of every sorted pair into a slot
@@ -262,14 +241,4 @@ func weigh(ctx context.Context, sets []Set, pairs []pair, counts []int, cfg Conf
 		return nil, err
 	}
 	return weights, nil
-}
-
-// shardOf maps a traffic id to its owning shard. Ids are mixed first
-// (splitmix64 finalizer) so structured id spaces — packet indices are
-// sequential integers — still spread evenly.
-func shardOf(id uint64, shards int) int {
-	id ^= id >> 33
-	id *= 0xff51afd7ed558ccd
-	id ^= id >> 33
-	return int(id % uint64(shards))
 }

@@ -3,8 +3,11 @@ package simgraph
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mawilab/internal/graphx"
@@ -18,23 +21,55 @@ func syntheticSets(n, size, stride int) []Set {
 	sets := make([]Set, n)
 	for i := range sets {
 		s := make(Set, size)
-		for j := 0; j < size; j++ {
-			s[uint64(i*stride+j)] = struct{}{}
+		for j := range s {
+			s[j] = i*stride + j
 		}
 		sets[i] = s
 	}
 	return sets
 }
 
+// randomSets draws a sparse family of n sets over ids below maxID: about a
+// sixth empty, a sixth singletons, the rest up to 40 ids mixing a shared
+// pool of hot ids (spread with gaps across the whole range, so sets
+// overlap) with uniformly random ones.
+func randomSets(rng *rand.Rand, n, maxID int) []Set {
+	hot := make([]int, 24)
+	for i := range hot {
+		hot[i] = rng.Intn(maxID)
+	}
+	sets := make([]Set, n)
+	for i := range sets {
+		switch rng.Intn(6) {
+		case 0:
+			sets[i] = Set{}
+		case 1:
+			sets[i] = Set{hot[rng.Intn(len(hot))]}
+		default:
+			s := make(Set, 1+rng.Intn(40))
+			for j := range s {
+				if rng.Intn(2) == 0 {
+					s[j] = hot[rng.Intn(len(hot))]
+				} else {
+					s[j] = rng.Intn(maxID)
+				}
+			}
+			slices.Sort(s)
+			sets[i] = slices.Compact(s)
+		}
+	}
+	return sets
+}
+
 // naiveBuild is the quadratic reference: every pair's intersection computed
-// directly, inserted in pair order. The sharded build must match it exactly.
+// directly, inserted in pair order. Build must match it exactly.
 func naiveBuild(sets []Set, cfg Config) *graphx.Graph {
 	g := graphx.New(len(sets))
 	for a := 0; a < len(sets); a++ {
 		for b := a + 1; b < len(sets); b++ {
 			n := 0
-			for id := range sets[a] {
-				if _, ok := sets[b][id]; ok {
+			for _, id := range sets[a] {
+				if slices.Contains(sets[b], id) {
 					n++
 				}
 			}
@@ -62,20 +97,77 @@ func naiveBuild(sets []Set, cfg Config) *graphx.Graph {
 	return g
 }
 
+// TestBuildMatchesNaiveReference pins Build to the quadratic reference on
+// the band family and on random sparse families (empty sets, singletons,
+// id gaps, ids in the thousands), for all three measures at workers 1-4.
 func TestBuildMatchesNaiveReference(t *testing.T) {
-	sets := syntheticSets(40, 30, 10)
-	for _, m := range []Measure{Simpson, Jaccard, Constant} {
-		cfg := Config{Measure: m, MinSimilarity: 0.1, Workers: 4}
-		got, err := Build(context.Background(), sets, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		want := naiveBuild(sets, cfg)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: sharded build diverges from the quadratic reference (%d vs %d edges)",
-				m, got.EdgeCount(), want.EdgeCount())
+	rng := rand.New(rand.NewSource(15))
+	names := []string{"band"}
+	families := [][]Set{syntheticSets(40, 30, 10)}
+	for _, maxID := range []int{50, 800, 6000} {
+		names = append(names, fmt.Sprintf("sparse<%d", maxID))
+		families = append(families, randomSets(rng, 60, maxID))
+	}
+	for f, sets := range families {
+		name := names[f]
+		for _, m := range []Measure{Simpson, Jaccard, Constant} {
+			want := naiveBuild(sets, Config{Measure: m, MinSimilarity: 0.1})
+			for workers := 1; workers <= 4; workers++ {
+				cfg := Config{Measure: m, MinSimilarity: 0.1, Workers: workers}
+				got, err := Build(context.Background(), sets, cfg)
+				if err != nil {
+					t.Fatalf("%s %v workers=%d: %v", name, m, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v workers=%d: build diverges from the quadratic reference (%d vs %d edges)",
+						name, m, workers, got.EdgeCount(), want.EdgeCount())
+				}
+			}
 		}
 	}
+}
+
+// decodeSets turns fuzz bytes into a valid set family. A byte with the
+// high bit set starts a new set (at most 64); 0x80 itself adds no id, so
+// runs of it make empty sets. Every other byte adds the id that lies its
+// low seven bits past the set's previous id, so sets stay strictly
+// ascending and ids stay below 128 per input byte.
+func decodeSets(data []byte) []Set {
+	const maxSets, maxBytes = 64, 512
+	data = data[:min(len(data), maxBytes)]
+	var sets []Set
+	next := 0
+	for _, b := range data {
+		if sets == nil || (b&0x80 != 0 && len(sets) < maxSets) {
+			sets = append(sets, Set{})
+			next = 0
+		}
+		if b == 0x80 {
+			continue
+		}
+		next += int(b & 0x7f)
+		sets[len(sets)-1] = append(sets[len(sets)-1], next)
+		next++
+	}
+	return sets
+}
+
+// FuzzBuildMatchesNaive compares Build against the quadratic reference on
+// fuzz-shaped set families, measures, thresholds and worker counts.
+func FuzzBuildMatchesNaive(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0x81, 2, 0x80, 0x80, 0x83, 0}, byte(0), byte(25), byte(1))
+	f.Add([]byte{0x80, 5, 0x85, 0x80, 0xff, 0x7f, 0x82, 1, 1, 1}, byte(1), byte(0), byte(3))
+	f.Fuzz(func(t *testing.T, data []byte, measure, minSim, workers byte) {
+		sets := decodeSets(data)
+		cfg := Config{Measure: Measure(measure % 3), MinSimilarity: float64(minSim) / 255, Workers: 1 + int(workers%4)}
+		got, err := Build(context.Background(), sets, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveBuild(sets, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("build diverges from the quadratic reference (%d vs %d edges)", got.EdgeCount(), want.EdgeCount())
+		}
+	})
 }
 
 // TestBuildDeterminismAcrossWorkers is the package's core guarantee: the
@@ -160,7 +252,7 @@ func TestBuildMinSimilarityZero(t *testing.T) {
 }
 
 func TestBuildEmptyAndSingle(t *testing.T) {
-	for _, sets := range [][]Set{nil, {make(Set)}, syntheticSets(1, 5, 1)} {
+	for _, sets := range [][]Set{nil, {{}}, syntheticSets(1, 5, 1)} {
 		g, err := Build(context.Background(), sets, Config{Measure: Simpson, MinSimilarity: 0.1, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -201,24 +293,5 @@ func TestMeasureString(t *testing.T) {
 	}
 	if Measure(7).String() != "measure(7)" {
 		t.Errorf("unknown measure renders %q", Measure(7).String())
-	}
-}
-
-// TestShardOfSpreads: sequential ids (the packet-granularity id space) must
-// not pile into one shard.
-func TestShardOfSpreads(t *testing.T) {
-	const shards = 8
-	var histo [shards]int
-	for id := uint64(0); id < 8000; id++ {
-		s := shardOf(id, shards)
-		if s < 0 || s >= shards {
-			t.Fatalf("shardOf(%d) = %d out of range", id, s)
-		}
-		histo[s]++
-	}
-	for s, n := range histo {
-		if n < 500 || n > 1500 {
-			t.Errorf("shard %d holds %d of 8000 sequential ids (want ≈1000)", s, n)
-		}
 	}
 }

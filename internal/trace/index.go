@@ -164,6 +164,17 @@ func (ix *Index) FlowPackets(fi int) []int32 {
 	return ix.flowPkts[ix.flowOff[fi]:ix.flowOff[fi+1]]
 }
 
+// FlowID returns the flow-table id of key k and true, or -1 and false when
+// the trace carries no such flow. It binary-searches the canonically sorted
+// flow table.
+func (ix *Index) FlowID(k FlowKey) (int, bool) {
+	fi := sort.Search(len(ix.flows), func(i int) bool { return !flowLess(ix.flows[i], k) })
+	if fi == len(ix.flows) || ix.flows[fi] != k {
+		return -1, false
+	}
+	return fi, true
+}
+
 // FlowIDOf returns the flow-table id of packet pi.
 func (ix *Index) FlowIDOf(pi int) int32 { return ix.flowOf[pi] }
 

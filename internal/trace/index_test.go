@@ -121,6 +121,30 @@ func TestIndexWindowMatchesTrace(t *testing.T) {
 // TestIndexCandidateFlows: the posting lists must return a complete,
 // ascending candidate set for every constrained field, and decline filters
 // without a posted field.
+// TestIndexFlowID: every flow key maps back to its own table id, and keys
+// the trace does not carry (below, between and above the table) are absent.
+func TestIndexFlowID(t *testing.T) {
+	ix := NewIndex(indexTestTrace(5, 2000))
+	for fi := 0; fi < ix.Flows(); fi++ {
+		if got, ok := ix.FlowID(ix.Flow(fi)); !ok || got != fi {
+			t.Fatalf("FlowID(Flow(%d)) = %d, %v", fi, got, ok)
+		}
+	}
+	absent := []FlowKey{
+		{Src: MakeIPv4(1, 0, 0, 1), Dst: MakeIPv4(192, 168, 0, 1), SrcPort: 1024, DstPort: 80, Proto: TCP},   // below every source
+		{Src: MakeIPv4(10, 0, 0, 0), Dst: MakeIPv4(192, 168, 0, 0), SrcPort: 1, DstPort: 80, Proto: TCP},     // inside the table, no such port
+		{Src: MakeIPv4(250, 0, 0, 1), Dst: MakeIPv4(192, 168, 0, 1), SrcPort: 1024, DstPort: 80, Proto: TCP}, // above every source
+	}
+	for _, k := range absent {
+		if got, ok := ix.FlowID(k); ok || got != -1 {
+			t.Errorf("FlowID(%v) = %d, %v for a flow the trace does not carry", k, got, ok)
+		}
+	}
+	if _, ok := NewIndex(&Trace{}).FlowID(absent[0]); ok {
+		t.Error("empty index reports a flow")
+	}
+}
+
 func TestIndexCandidateFlows(t *testing.T) {
 	tr := indexTestTrace(17, 2000)
 	ix := NewIndex(tr)
